@@ -72,6 +72,16 @@ def p_block_exceeds(p_l: float, L: int, t_c: int) -> float:
     return binomial_tail(p_l, L, t_c)
 
 
+def _column_tail(p: float, n: int, t: int, d: int, mode: str) -> float:
+    """Per-column over-budget probability: weight > t in 'correct' mode,
+    weight >= d in 'localize' mode (heavier columns are still detected)."""
+    if mode == "correct":
+        return p_col_exceeds(p, n, t)
+    if mode == "localize":
+        return p_col_exceeds_distance(p, n, d)
+    raise GF2Error(f"mode must be 'correct' or 'localize', got {mode!r}")
+
+
 def failure_probability(model: ErrorModel | float, pc: ProductCode,
                         mode: str = "correct") -> float:
     """P_F = L P1 + P2 - L P1 P2 for one error type.
@@ -82,12 +92,7 @@ def failure_probability(model: ErrorModel | float, pc: ProductCode,
     """
     p = model.p if isinstance(model, ErrorModel) else model
     n = pc.q.n
-    if mode == "correct":
-        p1 = p_col_exceeds(p, n, pc.t_q)
-    elif mode == "localize":
-        p1 = p_col_exceeds_distance(p, n, pc.q.d)
-    else:
-        raise GF2Error(f"mode must be 'correct' or 'localize', got {mode!r}")
+    p1 = _column_tail(p, n, pc.t_q, pc.q.d, mode)
     p2 = p_block_exceeds(p_logical(p, n), pc.L, pc.t_c)
     return pc.L * p1 + p2 - pc.L * p1 * p2
 
@@ -136,13 +141,7 @@ def choose_bch(L: int, p: float, q: CssCode, mode: str = "correct") -> Classical
     m = L.bit_length()
     if m < 2 or (1 << m) - 1 != L:
         raise GF2Error(f"L={L} is not a BCH length 2^m - 1")
-    if mode == "correct":
-        p1 = p_col_exceeds(p, q.n, q.t)
-    elif mode == "localize":
-        p1 = p_col_exceeds_distance(p, q.n, q.d)
-    else:
-        raise GF2Error(f"mode must be 'correct' or 'localize', got {mode!r}")
-    budget = L * p1
+    budget = L * _column_tail(p, q.n, q.t, q.d, mode)
     p_l = p_logical(p, q.n)
     for t_c in range(1, (L - 1) // 2 + 1):
         if p_block_exceeds(p_l, L, t_c) <= budget:

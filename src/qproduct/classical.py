@@ -316,10 +316,6 @@ class StandardArray:
     code: ClassicalCode
     leaders: dict[int, int]
 
-    def leader(self, syn: BitMatrix) -> BitMatrix:
-        key = syn.row_data[0]
-        return BitMatrix([self.leaders[key]], self.code.n)
-
 
 def _vectors_by_weight_lex(n: int, w: int):
     """All weight-w length-n vectors in lexicographic bit-string order.
@@ -338,9 +334,7 @@ def build_standard_array(code: ClassicalCode, max_size: int = 1 << 24) -> Standa
         raise GF2Error(
             f"standard array would need {total} entries (limit {max_size})"
         )
-    h_cols = [gf2.mul(code.H, gf2.vector_from_support([j], code.n).transpose())
-              for j in range(code.n)]
-    col_syn = [gf2.bits_to_int([c.get(i, 0) for i in range(code.r)]) for c in h_cols]
+    col_syn = code.H.transpose().row_data
     leaders: dict[int, int] = {0: 0}
     for w in range(1, code.n + 1):
         if len(leaders) == total:

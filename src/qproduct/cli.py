@@ -72,12 +72,8 @@ def _quantum_from_id(code_id: str) -> quantum.CssCode:
 def _product_from_args(args) -> product.ProductCode:
     c, hc_mode = _classical_from_id(args.c)
     q = _quantum_from_id(args.q)
-    return product.ProductCode(
-        c=c, q=q, hc_mode=hc_mode,
-        t_c=getattr(args, "tc", None) if getattr(args, "tc", None) is not None else -1,
-        t_q=getattr(args, "tq", None) if getattr(args, "tq", None) is not None else -1,
-        t_src=getattr(args, "tsrc", 0) or 0,
-    )
+    return product.ProductCode(c=c, q=q, hc_mode=hc_mode, t_c=args.tc,
+                               t_q=args.tq, t_src=args.tsrc)
 
 
 def _sha256_file(path: str) -> str:
@@ -160,6 +156,9 @@ def cmd_product(args) -> int:
 def cmd_decode(args) -> int:
     pc = _product_from_args(args)
     table = product.load_lookup_table(args.table, pc)
+    if len(args.syndrome) != table.key_bits:
+        raise GF2Error(f"syndrome has {len(args.syndrome)} bits, "
+                       f"the table's keys have {table.key_bits}")
     key = gf2.bitstring_to_int(args.syndrome)
     if args.min_distance:
         result = decoder.min_distance_decode(table, key, args.radius)
@@ -284,6 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # code selection shared by product, decode, localize and circuit;
+    # -1 radii mean the codes' own (ProductCode's convention)
+    code_args = argparse.ArgumentParser(add_help=False)
+    code_args.add_argument("--c", required=True)
+    code_args.add_argument("--q", required=True)
+    code_args.add_argument("--tc", type=int, default=-1)
+    code_args.add_argument("--tq", type=int, default=-1)
+    code_args.add_argument("--tsrc", type=int, default=0)
+
     p_codes = sub.add_parser("codes", help="classical code constructors")
     p_codes.add_argument("action", choices=["build", "info"])
     p_codes.add_argument("--code", required=True)
@@ -296,36 +304,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--code", required=True)
     p_q.set_defaults(func=cmd_quantum)
 
-    p_prod = sub.add_parser("product", help="product-code tables")
+    p_prod = sub.add_parser("product", parents=[code_args],
+                            help="product-code tables")
     p_prod.add_argument("action", choices=["build-table", "info"])
-    p_prod.add_argument("--c", required=True)
-    p_prod.add_argument("--q", required=True)
-    p_prod.add_argument("--tc", type=int)
-    p_prod.add_argument("--tq", type=int)
-    p_prod.add_argument("--tsrc", type=int, default=0)
     p_prod.add_argument("--type", default="X", choices=["X", "Z"])
     p_prod.add_argument("--max-cols", type=int, default=None)
     p_prod.add_argument("--out")
     p_prod.set_defaults(func=cmd_product)
 
-    p_dec = sub.add_parser("decode", help="decode a flattened syndrome")
+    p_dec = sub.add_parser("decode", parents=[code_args],
+                           help="decode a flattened syndrome")
     p_dec.add_argument("--table", required=True)
-    p_dec.add_argument("--c", required=True)
-    p_dec.add_argument("--q", required=True)
-    p_dec.add_argument("--tc", type=int)
-    p_dec.add_argument("--tq", type=int)
-    p_dec.add_argument("--tsrc", type=int, default=0)
     p_dec.add_argument("--syndrome", required=True)
     p_dec.add_argument("--min-distance", action="store_true")
     p_dec.add_argument("--radius", type=int, default=None)
     p_dec.set_defaults(func=cmd_decode)
 
-    p_loc = sub.add_parser("localize", help="locate logical qubits with errors")
-    p_loc.add_argument("--c", required=True)
-    p_loc.add_argument("--q", required=True)
-    p_loc.add_argument("--tc", type=int)
-    p_loc.add_argument("--tq", type=int)
-    p_loc.add_argument("--tsrc", type=int, default=0)
+    p_loc = sub.add_parser("localize", parents=[code_args],
+                           help="locate logical qubits with errors")
     p_loc.add_argument("--xi", required=True, help="product syndrome matrix file")
     p_loc.add_argument("--rows", action="store_true",
                        help="per-row decoding (full-H mode)")
@@ -347,13 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_circ = sub.add_parser("circuit", help="emit syndrome-extraction circuits")
+    p_circ = sub.add_parser("circuit", parents=[code_args],
+                            help="emit syndrome-extraction circuits")
     p_circ.add_argument("action", choices=["emit"])
-    p_circ.add_argument("--c", required=True)
-    p_circ.add_argument("--q", required=True)
-    p_circ.add_argument("--tc", type=int)
-    p_circ.add_argument("--tq", type=int)
-    p_circ.add_argument("--tsrc", type=int, default=0)
     p_circ.add_argument("--type", default="X", choices=["X", "Z"])
     p_circ.add_argument("--shor", action="store_true")
     p_circ.add_argument("--row", type=int, default=0)
@@ -370,10 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GF2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GF2Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,16 +54,8 @@ class BitMatrix:
                 width = len(bits)
             elif len(bits) != width:
                 raise GF2Error(f"ragged rows: expected {width} columns, got {len(bits)}")
-            acc = 0
-            for j, b in enumerate(bits):
-                if b & 1:
-                    acc |= 1 << j
-            data.append(acc)
+            data.append(bits_to_int(bits))
         return cls(data, width if width is not None else 0)
-
-    @classmethod
-    def row_vector(cls, bits: Iterable[int]) -> "BitMatrix":
-        return cls.from_rows([list(bits)])
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "BitMatrix":
@@ -77,9 +69,6 @@ class BitMatrix:
 
     def row(self, i: int) -> "BitMatrix":
         return BitMatrix([self.row_data[i]], self.cols)
-
-    def col(self, j: int) -> "BitMatrix":
-        return BitMatrix.from_rows([[self.get(i, j) for i in range(self.rows)]])
 
     def row_bits(self, i: int) -> list[int]:
         r = self.row_data[i]
@@ -128,12 +117,12 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         data = [0] * self.cols
-        for i in range(self.rows):
-            r = self.row_data[i]
+        for i, r in enumerate(self.row_data):
+            bit = 1 << i
             while r:
-                low = r & -r
-                data[low.bit_length() - 1] |= 1 << i
-                r ^= low
+                j = r.bit_length() - 1
+                data[j] |= bit
+                r ^= 1 << j
         return BitMatrix(data, self.rows)
 
     def hstack(self, other: "BitMatrix") -> "BitMatrix":
@@ -148,23 +137,20 @@ class BitMatrix:
         return BitMatrix(list(self.row_data) + list(other.row_data), self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BitMatrix":
-        return BitMatrix.from_rows(
-            [[self.get(i, j) for j in col_idx] for i in row_idx], len(col_idx)
-        )
+        cols = BitMatrix([self.row_data[i] for i in row_idx], self.cols).transpose().row_data
+        return BitMatrix([cols[j] for j in col_idx], len(row_idx)).transpose()
 
     def permute_cols(self, perm: Sequence[int]) -> "BitMatrix":
         """Column j of the result is column perm[j] of self."""
         if sorted(perm) != list(range(self.cols)):
             raise GF2Error("not a permutation of column indices")
-        return BitMatrix.from_rows(
-            [[self.get(i, p) for p in perm] for i in range(self.rows)], self.cols
-        )
+        return self.submatrix(range(self.rows), perm)
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
     def __str__(self) -> str:
-        return "\n".join("".join(map(str, self.row_bits(i))) for i in range(self.rows))
+        return "\n".join(int_to_bitstring(r, self.cols) for r in self.row_data)
 
 
 # BitVector is a 1xN BitMatrix; these helpers keep call sites readable.
@@ -286,10 +272,8 @@ def systematic_form(h: BitMatrix) -> tuple[BitMatrix, list[int]]:
 def vec(m: BitMatrix) -> BitMatrix:
     """Column-stacking vectorization: entry (r, c) maps to index c*rows + r."""
     acc = 0
-    for c in range(m.cols):
-        for r in range(m.rows):
-            if m.get(r, c):
-                acc |= 1 << (c * m.rows + r)
+    for c, col in enumerate(m.transpose().row_data):
+        acc |= col << (c * m.rows)
     return BitMatrix([acc], m.rows * m.cols)
 
 
@@ -298,12 +282,8 @@ def unvec(v: BitMatrix, rows: int, cols: int) -> BitMatrix:
         raise GF2Error(
             f"unvec length mismatch: {v.rows}x{v.cols} vs {rows}*{cols}"
         )
-    data = [0] * rows
     bits = v.row_data[0]
-    for idx in range(rows * cols):
-        if (bits >> idx) & 1:
-            data[idx % rows] |= 1 << (idx // rows)
-    return BitMatrix(data, cols)
+    return BitMatrix([bits >> (c * rows) for c in range(cols)], rows).transpose()
 
 
 # -- text parity-check-matrix format --------------------------------------
@@ -311,7 +291,7 @@ def unvec(v: BitMatrix, rows: int, cols: int) -> BitMatrix:
 
 def to_text(m: BitMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    lines.extend("".join(map(str, m.row_bits(i))) for i in range(m.rows))
+    lines.extend(int_to_bitstring(r, m.cols) for r in m.row_data)
     return "\n".join(lines) + "\n"
 
 
@@ -354,4 +334,5 @@ def bitstring_to_int(s: str) -> int:
 
 
 def int_to_bitstring(value: int, n: int) -> str:
-    return "".join(str((value >> i) & 1) for i in range(n))
+    """Bits 0..n-1 of value, least significant first."""
+    return bin((value & ((1 << n) - 1)) | (1 << n))[3:][::-1]

@@ -110,7 +110,7 @@ class ErrorPattern:
 
     def column(self, idx: int) -> int:
         """Column idx as a packed n-bit integer."""
-        return (self.packed() >> (idx * self.n)) & ((1 << self.n) - 1)
+        return self.matrix.transpose().row_data[idx]
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,7 @@ def normalizer_generators(pc: ProductCode, error_type: str = "X") -> list[ErrorP
 
 
 def _pattern_from_columns(cols: list[int], n: int, error_type: str) -> ErrorPattern:
-    packed = 0
-    for ell, c in enumerate(cols):
-        packed |= c << (ell * n)
-    return ErrorPattern.from_packed(packed, n, len(cols), error_type)
+    return ErrorPattern(BitMatrix(cols, n).transpose(), error_type)
 
 
 def class_E_size(pc: ProductCode, max_cols: int | None = None) -> int:
@@ -266,13 +263,11 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
         )
     q = pc.q
     n = q.n
-    check = q.check_matrix(error_type)
-    stab_space = quantum._rowspace_set(q.stabilizer_matrix(error_type))
-    r = pc.R
-    hc_cols = [gf2.bits_to_int([pc.h_c.get(i, ell) for i in range(r)])
-               for ell in range(pc.L)]
-    col_syn = [gf2.bits_to_int([check.get(i, j) for i in range(check.rows)])
-               for j in range(n)]
+    span = q.stabilizer_span(error_type)
+    hc = pc.h_c
+    r = hc.rows
+    hc_cols = hc.transpose().row_data
+    col_syn = q.check_matrix(error_type).transpose().row_data
 
     # per-column patterns of weight 1..t_q with their key contribution factor
     col_patterns: list[tuple[int, int]] = []  # (pattern bits, quantum syndrome)
@@ -294,12 +289,12 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
         return acc
 
     contribs = [[key_contrib(ell, syn) for _, syn in col_patterns]
-                for ell in range(pc.L)]
+                for ell in range(hc.cols)]
 
     entries: dict[int, int] = {0: 0}
     npat = len(col_patterns)
     for c in range(1, max_cols + 1):
-        for cols in itertools.combinations(range(pc.L), c):
+        for cols in itertools.combinations(range(hc.cols), c):
             for choice in itertools.product(range(npat), repeat=c):
                 packed = 0
                 key = 0
@@ -308,13 +303,7 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
                     key ^= contribs[ell][pi]
                 if key in entries:
                     other = entries[key]
-                    diff = other ^ packed
-                    mask = (1 << n) - 1
-                    degenerate = all(
-                        ((diff >> (ell * n)) & mask) in stab_space
-                        for ell in range(pc.L)
-                    )
-                    if not degenerate:
+                    if not quantum.differs_by_stabilizers(other ^ packed, n, span):
                         raise GF2Error(
                             f"syndrome conflict: patterns {other:#x} and "
                             f"{packed:#x} share key {key:#x} but are not "
@@ -329,25 +318,30 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
 
 def stabilizer_equivalent(pc: ProductCode, a: ErrorPattern, b: ErrorPattern) -> bool:
     """True when a and b differ column-wise by quantum stabilizer elements."""
-    stab_space = quantum._rowspace_set(pc.q.stabilizer_matrix(a.error_type))
-    diff = a.packed() ^ b.packed()
-    n = pc.q.n
-    mask = (1 << n) - 1
-    return all(((diff >> (ell * n)) & mask) in stab_space for ell in range(pc.L))
+    return quantum.differs_by_stabilizers(a.packed() ^ b.packed(), pc.q.n,
+                                          pc.q.stabilizer_span(a.error_type))
 
 
 # -- lookup-table file format ----------------------------------------------
 # Text header, then sorted hex records "key value", one per line; the sort
 # makes files diffable and supports binary-search loading.
 
+TABLE_FIELDS = ("c", "q", "mode", "type", "tc", "tq", "mc", "key_bits", "n", "L",
+                "entries")
+
+
+def _table_header(pc: ProductCode, error_type: str, max_cols: int,
+                  entries: int) -> dict[str, str]:
+    """Header fields of a table file for this code, in file order."""
+    values = (f"{pc.c.kind}:{pc.c.n}:{pc.c.k}", pc.q.kind, pc.hc_mode, error_type,
+              pc.t_c, pc.t_q, max_cols, pc.key_bits(error_type), pc.q.n, pc.L, entries)
+    return {name: str(v) for name, v in zip(TABLE_FIELDS, values)}
+
+
 def save_lookup_table(table: LookupTable, path: str) -> str:
-    pc = table.pc
-    lines = [
-        f"qproduct-lut c={pc.c.kind}:{pc.c.n}:{pc.c.k} q={pc.q.kind} "
-        f"mode={pc.hc_mode} type={table.error_type} tc={pc.t_c} tq={pc.t_q} "
-        f"mc={table.max_cols} key_bits={table.key_bits} n={pc.q.n} L={pc.L} "
-        f"entries={len(table.entries)}"
-    ]
+    header = _table_header(table.pc, table.error_type, table.max_cols,
+                           len(table.entries))
+    lines = ["qproduct-lut " + " ".join(f"{k}={v}" for k, v in header.items())]
     for key in sorted(table.entries):
         lines.append(f"{key:x} {table.entries[key]:x}")
     blob = "\n".join(lines) + "\n"
@@ -357,28 +351,37 @@ def save_lookup_table(table: LookupTable, path: str) -> str:
 
 
 def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:
+    """Read a table file, refusing one that was built for another code."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
         if not header or header[0] != "qproduct-lut":
             raise GF2Error(f"{path} is not a lookup-table file")
-        fields = dict(tok.split("=", 1) for tok in header[1:])
+        fields = dict(tok.partition("=")[::2] for tok in header[1:])
+        missing = [name for name in TABLE_FIELDS if name not in fields]
+        if missing:
+            raise GF2Error(f"{path}: header lacks {', '.join(missing)}")
         entries = {}
-        for line in fh:
-            k, v = line.split()
-            entries[int(k, 16)] = int(v, 16)
-    if len(entries) != int(fields["entries"]):
-        raise GF2Error(
-            f"{path}: expected {fields['entries']} entries, found {len(entries)}"
-        )
-    expected_bits = pc.key_bits(fields["type"])
-    if int(fields["key_bits"]) != expected_bits:
+        try:
+            max_cols = int(fields["mc"])
+            for line in fh:
+                k, v = line.split()
+                entries[int(k, 16)] = int(v, 16)
+        except ValueError as exc:
+            raise GF2Error(f"{path}: malformed table file ({exc})") from None
+    expected = _table_header(pc, fields["type"], max_cols, len(entries))
+    if fields["key_bits"] != expected["key_bits"]:
         raise GF2Error(
             f"{path}: key length {fields['key_bits']} does not match "
-            f"product code ({expected_bits})"
+            f"product code ({expected['key_bits']})"
         )
+    for name, want in expected.items():
+        if fields[name] != want:
+            raise GF2Error(f"{path}: header {name}={fields[name]} does not match {want}")
+    if max_cols > pc.t_c:
+        raise GF2Error(f"{path}: mc={max_cols} exceeds t_c={pc.t_c}")
     return LookupTable(pc=pc, error_type=fields["type"],
-                       key_bits=expected_bits, entries=entries,
-                       max_cols=int(fields.get("mc", -1)))
+                       key_bits=int(expected["key_bits"]), entries=entries,
+                       max_cols=max_cols)
 
 
 # -- channel coding of the measured syndrome --------------------------------

@@ -102,14 +102,18 @@ class CssCode:
         """Binary stabilizer generators of the same type as the error."""
         return self.hx if error_type == "X" else self.hz
 
+    def stabilizer_span(self, error_type: str) -> frozenset[int]:
+        """Every same-type stabilizer element, as a packed n-bit int."""
+        red, r, _ = gf2.rref(self.stabilizer_matrix(error_type))
+        space = {0}
+        for b in red.row_data[:r]:
+            space |= {s ^ b for s in space}
+        return frozenset(space)
+
     def row_reduced(self, error_type: str = "X") -> BitMatrix:
         """Row-reduced parity check (same row space, no column permutation)."""
         red, r, _ = gf2.rref(self.check_matrix(error_type))
         return BitMatrix(red.row_data[:r], red.cols)
-
-    @property
-    def num_stabilizers(self) -> int:
-        return self.hx.rows + self.hz.rows
 
     def stabilizer_weights(self) -> list[int]:
         return self.hx.row_weights() + self.hz.row_weights()
@@ -119,7 +123,6 @@ def _compute_logicals(stab_same: BitMatrix, check: BitMatrix, n: int, k: int) ->
     """k logical operators: kernel of the check modulo the same-type stabilizers."""
     kern = gf2.nullspace(check) if check.rows else BitMatrix.identity(n)
     base = stab_same if stab_same.rows else BitMatrix.zeros(0, n)
-    r0 = gf2.rank(base)
     out = []
     cur = base
     for i in range(kern.rows):
@@ -131,7 +134,6 @@ def _compute_logicals(stab_same: BitMatrix, check: BitMatrix, n: int, k: int) ->
             break
     if len(out) != k:
         raise GF2Error(f"found only {len(out)} of {k} logical operators")
-    del r0
     return BitMatrix(out, n)
 
 
@@ -152,15 +154,13 @@ STEANE_H = [
     [0, 0, 1, 1, 1, 1, 0],
 ]
 
-# Minimal-weight normalizer generators beyond the stabilizer (weight-3
-# logical representatives; all are equivalent up to stabilizers).
-STEANE_LOGICALS = ["X2X3X5", "X1X3X6", "X1X2X7"]
+# A minimal-weight (weight-3) logical representative.
+STEANE_LOGICALS = ["X2X3X5"]
 
 
 def steane() -> CssCode:
     h = BitMatrix.from_rows(STEANE_H)
-    logical = BitMatrix([pauli_from_string(s.replace("X", "X"), 7).x
-                         for s in STEANE_LOGICALS[:1]], 7)
+    logical = BitMatrix([pauli_from_string(s, 7).x for s in STEANE_LOGICALS], 7)
     return CssCode(n=7, k=1, d=3, hx=h, hz=h, kind="steane",
                    logical_x=logical, logical_z=logical)
 
@@ -244,13 +244,19 @@ class CosetTable:
         return self.entries[key][0]
 
 
-def _rowspace_set(m: BitMatrix) -> set[int]:
-    red, r, _ = gf2.rref(m)
-    basis = red.row_data[:r]
-    space = {0}
-    for b in basis:
-        space |= {s ^ b for s in space}
-    return space
+def differs_by_stabilizers(diff: int, n: int, span: frozenset[int]) -> bool:
+    """True when every n-bit column of a packed difference lies in ``span``.
+
+    ``diff`` is the XOR of two n x L patterns packed column after column
+    (``ErrorPattern.packed``); one n-bit pattern is the L = 1 case.  Such
+    patterns are equivalent corrections: they differ by stabilizers only.
+    """
+    mask = (1 << n) - 1
+    while diff:
+        if (diff & mask) not in span:
+            return False
+        diff >>= n
+    return True
 
 
 def build_coset_table(q: CssCode, max_wt: int, error_type: str = "X",
@@ -264,9 +270,8 @@ def build_coset_table(q: CssCode, max_wt: int, error_type: str = "X",
     if q.n > 23 or max_wt > 3:
         raise GF2Error(f"coset enumeration too large: n={q.n}, max_wt={max_wt}")
     check = q.row_reduced(error_type) if row_reduced else q.check_matrix(error_type)
-    stab_space = _rowspace_set(q.stabilizer_matrix(error_type))
-    col_syn = [gf2.bits_to_int([check.get(i, j) for i in range(check.rows)])
-               for j in range(q.n)]
+    span = q.stabilizer_span(error_type)
+    col_syn = check.transpose().row_data
     entries: dict[int, list[int]] = {}
     for w in range(1, max_wt + 1):
         for supp in itertools.combinations(range(q.n), w):
@@ -277,7 +282,7 @@ def build_coset_table(q: CssCode, max_wt: int, error_type: str = "X",
                 syn ^= col_syn[i]
             if syn in entries:
                 rep = entries[syn][0]
-                if (rep ^ pat) not in stab_space:
+                if not differs_by_stabilizers(rep ^ pat, q.n, span):
                     raise GF2Error(
                         f"syndrome conflict at weight {w}: patterns "
                         f"{rep:#x} and {pat:#x} share syndrome {syn:#x} "

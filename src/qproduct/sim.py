@@ -71,11 +71,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def sample_error(p: float, n: int, L: int, rng: np.random.Generator) -> np.ndarray:
-    """One n*L bit pattern, each cell independently 1 with probability p."""
-    return (rng.random(n * L) < p).astype(np.uint8)
-
-
 def _key_matrix(pc: ProductCode, error_type: str) -> np.ndarray:
     """(n*L) x key_bits map from vec(eps) bits to flattened syndrome bits.
 
@@ -121,9 +116,12 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
         raise GF2Error("simulation fast path limited to 62-bit patterns/keys")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     key_mat = _key_matrix(pc, cfg.error_type)
-    stab_space = quantum._rowspace_set(pc.q.stabilizer_matrix(cfg.error_type))
-    col_mask = (1 << n) - 1
+    span = pc.q.stabilizer_span(cfg.error_type)
+    lookup = cfg.decode_mode == "lookup"
     entries = table.entries
+    # an error-free shot has the zero key; when the table stores the zero
+    # correction there, such shots (most of them at small p) need no lookup
+    skip_zero = lookup and entries.get(0) == 0
     radius = pc.t_c - pc.t_src
     noise_probs = (_noise_probs(pc, cfg.error_type, cfg.p_e)
                    if cfg.syndrome_noise else None)
@@ -146,57 +144,36 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
                            < noise_probs).astype(np.uint8))
             in_budget = (colw > 0).sum(axis=1) <= pc.t_src
         for shot in range(b):
+            if not in_e[shot]:
+                failures += 1
+                breakdown["class_misses"] += 1
+                continue
             truth = int(truths[shot])
             key = int(keys[shot])
-            if cfg.decode_mode == "lookup":
-                if not in_e[shot]:
-                    failures += 1
-                    breakdown["class_misses"] += 1
-                    continue
-                if truth == 0 and key == 0:
-                    continue
+            if truth == 0 and skip_zero:
+                continue
+            cause = "decode_errors"
+            if lookup:
                 stored = entries.get(key)
-                if stored is None:
-                    failures += 1
-                    breakdown["decode_errors"] += 1
-                elif stored != truth:
-                    diff = stored ^ truth
-                    if all(((diff >> (ell * n)) & col_mask) in stab_space
-                           for ell in range(L)):
-                        breakdown["degenerate_hits"] += 1
-                    else:
-                        failures += 1
-                        breakdown["decode_errors"] += 1
             else:
                 flip = int(flips[shot]) if cfg.syndrome_noise else 0
-                correctable = (in_e[shot]
-                               and (not cfg.syndrome_noise or
-                                    (in_budget[shot]
-                                     and flip.bit_count() <= radius)))
-                if not correctable:
+                if cfg.syndrome_noise and not (in_budget[shot]
+                                               and flip.bit_count() <= radius):
                     failures += 1
-                    if not in_e[shot]:
-                        breakdown["class_misses"] += 1
-                    else:
-                        breakdown["noise_over_budget"] += 1
+                    breakdown["noise_over_budget"] += 1
                     continue
                 result = decoder.min_distance_decode(table, key ^ flip, radius)
+                stored = entries[result.matched_key] if result.status == "ok" else None
                 if result.status == "ambiguous":
-                    failures += 1
-                    breakdown["ambiguities"] += 1
-                elif result.status != "ok":
-                    failures += 1
-                    breakdown["decode_errors"] += 1
-                else:
-                    stored = result.pattern.packed()
-                    if stored != truth:
-                        diff = stored ^ truth
-                        if all(((diff >> (ell * n)) & col_mask) in stab_space
-                               for ell in range(L)):
-                            breakdown["degenerate_hits"] += 1
-                        else:
-                            failures += 1
-                            breakdown["decode_errors"] += 1
+                    cause = "ambiguities"
+            # one classification of stored against true correction, both modes
+            if stored == truth:
+                continue
+            if stored is not None and quantum.differs_by_stabilizers(stored ^ truth, n, span):
+                breakdown["degenerate_hits"] += 1
+            else:
+                failures += 1
+                breakdown[cause] += 1
     rate = failures / cfg.shots
     return TrialReport(
         shots=cfg.shots,

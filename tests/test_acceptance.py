@@ -70,7 +70,7 @@ def test_criterion_03_failure_rate_anchor():
     c = analytics.choose_bch(127, 1e-4, q)
     pf = analytics.failure_probability(1e-4, ProductCode(c, q, hc_mode="pt"))
     ratio = 1e-7 / pf if pf < 1e-7 else pf / 1e-7
-    report(3, f"127-qubit failure probability {pf:.2e} within 3x of 1e-7",
+    report(3, f"L=85 (BCH(127,6) pt) failure probability {pf:.2e} within 3x of 1e-7",
            ratio < 3.0)
 
 

@@ -211,3 +211,53 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "decode", "--table", "/nonexistent.lut",
                        "--c", "hamming3pt", "--q", "rep3", "--syndrome", "0")
     assert code == 1 and "error:" in err
+
+
+@pytest.fixture
+def desk_table(capsys, tmp_path):
+    """hamming3pt x rep3 table file (t_C=1, 6-bit keys, 13 entries)."""
+    path = tmp_path / "desk.lut"
+    assert run(capsys, "product", "build-table", "--c", "hamming3pt",
+               "--q", "rep3", "--out", str(path))[0] == 0
+    return path
+
+
+def _decode_desk(capsys, path, *extra, syndrome="000000"):
+    """decode against the table; ``extra`` replaces the table's own --c."""
+    return run(capsys, "decode", "--table", str(path), "--q", "rep3",
+               "--syndrome", syndrome, *(extra or ("--c", "hamming3pt")))
+
+
+@pytest.mark.parametrize("extra", [
+    ("--c", "hamming3pt", "--tc", "0"),  # table built with tc=1
+    ("--c", "hamming:3"),                # full mode, same key width
+])
+def test_decode_rejects_table_of_another_code(capsys, desk_table, extra):
+    assert _decode_desk(capsys, desk_table)[0] == 0
+    code, out, err = _decode_desk(capsys, desk_table, *extra)
+    assert code == 1 and err.startswith("error:") and out == ""
+
+
+def test_decode_rejects_malformed_row(capsys, desk_table):
+    desk_table.write_text(desk_table.read_text() + "zz\n")
+    code, _, err = _decode_desk(capsys, desk_table)
+    assert code == 1 and err.startswith("error:") and "malformed" in err
+
+
+def test_decode_rejects_header_without_key_bits(capsys, desk_table):
+    desk_table.write_text(desk_table.read_text().replace(" key_bits=6", "", 1))
+    code, _, err = _decode_desk(capsys, desk_table)
+    assert code == 1 and err.startswith("error:") and "lacks key_bits" in err
+
+
+def test_decode_rejects_table_over_column_budget(capsys, desk_table):
+    text = desk_table.read_text()
+    desk_table.write_text(text.replace(" mc=1 ", " mc=2 ", 1))
+    code, _, err = _decode_desk(capsys, desk_table)
+    assert code == 1 and "mc=2 exceeds t_c=1" in err
+
+
+def test_decode_rejects_wrong_syndrome_length(capsys, desk_table):
+    code, out, err = _decode_desk(capsys, desk_table, syndrome="0" * 10)
+    assert code == 1 and err.startswith("error:") and out == ""
+    assert "10 bits" in err

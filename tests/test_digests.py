@@ -1,0 +1,50 @@
+"""Artifacts pinned to their sha256 digests: tables and simulate reports
+must stay byte-identical across refactors of the code that produces them."""
+
+import hashlib
+import json
+
+import pytest
+
+from qproduct import cli
+
+TABLES = [
+    (["--c", "hamming3pt", "--q", "rep3"],
+     "3a85c735d207313b7a893145c9d887f966cee3a66d8fa75847da64a245294158"),
+    (["--c", "bch:15:3pt", "--q", "steane", "--tsrc", "1", "--max-cols", "1"],
+     "8182e30df455e93f1e921adf07c80755213942dc66740a37743a75329d0c797c"),
+    (["--c", "bch:15:3", "--q", "steane"],  # 161,316 entries
+     "c689302a815d58681a05ddc7ceffd3c605068ef8105d4c0a8351e345632ede4a"),
+]
+
+REPORTS = [
+    ({"c": "hamming3pt", "q": "rep3", "p": 0.05, "shots": 100000, "seed": 5},
+     "56610869f2c69c40be9df5b0626357029174d08c1fcaab2549c13dade3e258ae"),
+    ({"c": "bch:15:3pt", "q": "steane", "t_src": 1, "p": 0.003, "shots": 20000,
+      "seed": 5, "syndrome_noise": True, "p_e": 0.003,
+      "decode_mode": "min_distance"},
+     "946447840f3f266bf0488c50812c6f92430380fafa50ccbfe73cd1b6811e0355"),
+]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("args,digest", TABLES,
+                         ids=["desk", "bch15pt-tsrc1", "bch15-full"])
+def test_table_file_digest(capsys, tmp_path, args, digest):
+    out = tmp_path / "t.lut"
+    assert cli.main(["product", "build-table", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("config,digest", REPORTS,
+                         ids=["desk-lookup", "bch15pt-noisy"])
+def test_simulate_report_digest(capsys, tmp_path, config, digest):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == digest

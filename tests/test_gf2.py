@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qproduct import gf2
+from qproduct import gf2, product
 from qproduct.gf2 import BitMatrix, GF2Error
 
 STEANE_H = [[1, 0, 0, 1, 0, 1, 1],
@@ -242,3 +244,40 @@ def test_zero_sized_matrices_valid():
     z = BitMatrix.zeros(0, 4)
     assert z.rows == 0
     assert z.vstack(BitMatrix.from_rows([[1, 1, 0, 0]])).rows == 1
+
+
+@st.composite
+def matrix_and_indices(draw):
+    """A matrix (0xN and Nx0 included), row/column index lists, a permutation."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    data = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    row_idx = draw(st.lists(st.integers(0, rows - 1), max_size=6)) if rows else []
+    col_idx = draw(st.lists(st.integers(0, cols - 1), max_size=6)) if cols else []
+    perm = draw(st.permutations(range(cols)))
+    return BitMatrix(data, cols), row_idx, col_idx, perm
+
+
+@given(matrix_and_indices())
+@example((BitMatrix([], 4), [], [3, 0, 3], [2, 0, 3, 1]))
+@example((BitMatrix([0b1, 0b0, 0b1], 0), [2, 0], [], []))
+def test_reshapes_match_per_bit_reference(case):
+    """vec, unvec, submatrix, permute_cols, ErrorPattern.column and
+    _pattern_from_columns against the per-bit definitions they reproduce."""
+    m, row_idx, col_idx, perm = case
+    ref_vec = 0
+    for c in range(m.cols):
+        for r in range(m.rows):
+            ref_vec |= m.get(r, c) << (c * m.rows + r)
+    assert gf2.vec(m) == BitMatrix([ref_vec], m.rows * m.cols)
+    ref_unvec = [0] * m.rows
+    for idx in range(m.rows * m.cols):
+        ref_unvec[idx % m.rows] |= ((ref_vec >> idx) & 1) << (idx // m.rows)
+    assert gf2.unvec(gf2.vec(m), m.rows, m.cols) == BitMatrix(ref_unvec, m.cols) == m
+    assert m.submatrix(row_idx, col_idx) == BitMatrix.from_rows(
+        [[m.get(i, j) for j in col_idx] for i in row_idx], len(col_idx))
+    assert m.permute_cols(perm) == BitMatrix.from_rows(
+        [[m.get(i, p) for p in perm] for i in range(m.rows)], m.cols)
+    ref_cols = [sum(m.get(i, j) << i for i in range(m.rows)) for j in range(m.cols)]
+    e = product.ErrorPattern(m)
+    assert [e.column(j) for j in range(m.cols)] == ref_cols
+    assert product._pattern_from_columns(ref_cols, m.rows, "X") == e

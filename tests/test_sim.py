@@ -50,13 +50,6 @@ def test_wilson_interval_covers_true_rate():
     assert covered / runs > 0.9
 
 
-def test_sample_error_statistics():
-    rng = np.random.Generator(np.random.Philox(7))
-    draws = np.vstack([sim.sample_error(0.3, 5, 4, rng) for _ in range(2000)])
-    assert draws.shape == (2000, 20)
-    assert abs(draws.mean() - 0.3) < 0.01
-
-
 def test_key_matrix_matches_extract_syndrome():
     pc = desk_instance()
     m = sim._key_matrix(pc, "X")
@@ -155,6 +148,34 @@ def test_run_trials_with_syndrome_noise():
     assert rep.failures == (rep.breakdown["class_misses"]
                             + rep.breakdown["noise_over_budget"]
                             + rep.breakdown["ambiguities"])
+
+
+@pytest.mark.parametrize("mode", ["lookup", "min_distance"])
+def test_run_trials_stabilizer_shifted_table_hits_are_degenerate(mode):
+    """Every stored correction shifted by a stabilizer in the last column:
+    each in-class shot decodes to a degenerate hit, never to a failure."""
+    pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt",
+                     t_src=1)
+    table = product.build_lookup_table(pc)
+    shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
+    table.entries = {k: v ^ shift for k, v in table.entries.items()}
+    rep = sim.run_trials(TrialConfig(pc=pc, p=0.02, shots=2000, seed=3,
+                                     decode_mode=mode), table)
+    assert rep.failures == rep.breakdown["class_misses"]
+    assert rep.breakdown["degenerate_hits"] == rep.shots - rep.failures
+
+
+def test_run_trials_ties_charged_as_ambiguities():
+    """Against a table whose two keys sit at distance 1 from the zero key,
+    every shot fails and the zero-syndrome shots (most of them) are ties."""
+    pc = desk_instance()
+    table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
+                                entries={0b01: 0, 0b10: 0})
+    rep = sim.run_trials(TrialConfig(pc=pc, p=0.01, shots=1000, seed=4,
+                                     decode_mode="min_distance"), table)
+    causes = ("class_misses", "decode_errors", "ambiguities")
+    assert rep.failures == rep.shots == sum(rep.breakdown[c] for c in causes)
+    assert rep.breakdown["ambiguities"] > rep.shots // 2
 
 
 def test_run_trials_report_invariants():
