@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import gf2
 from .gf2 import BitMatrix, GF2Error
@@ -160,6 +161,11 @@ class ClassicalCode:
     def pt(self) -> BitMatrix:
         """P^T, the (n-k) x k parity block used as H_C in noisy-syndrome mode."""
         return self.P.transpose()
+
+    @cached_property
+    def standard_array(self) -> StandardArray:
+        """Coset-leader table, built on first use and kept with this code."""
+        return build_standard_array(self)
 
     def contains(self, v: BitMatrix) -> bool:
         return gf2.mul(self.H, v.transpose()).is_zero()

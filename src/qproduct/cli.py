@@ -165,8 +165,8 @@ def cmd_decode(args) -> int:
     else:
         result = decoder.lookup_decode(table, key)
     out = {"status": result.status, "distance": result.distance}
-    if result.pattern is not None:
-        out["correction"] = gf2.int_to_bitstring(result.pattern.packed(),
+    if result.status == "ok":
+        out["correction"] = gf2.int_to_bitstring(table.entries[result.matched_key],
                                                  pc.q.n * pc.L)
     print(json.dumps(out, sort_keys=True))
     return 0

@@ -85,18 +85,47 @@ class DecodeResult:
     matched_key: int = -1
 
 
-def lookup_decode(table: LookupTable, key: int) -> DecodeResult:
-    """Exact-match decode; not-found is a normal outcome."""
-    pattern = table.correction(key)
-    if pattern is None:
-        return DecodeResult(status="not_found")
-    return DecodeResult(status="ok", pattern=pattern, distance=0, matched_key=key)
-
-
 def ensure_index(table: LookupTable) -> BKTree:
     if table.bk_index is None:
         table.bk_index = BKTree(sorted(table.entries))
     return table.bk_index
+
+
+def nearest_key(table: LookupTable, key: int, radius: int) -> tuple[str, int, int]:
+    """Packed decode core: (status, distance, matched key) of the unique
+    stored key nearest to ``key`` within the Hamming ``radius``.
+
+    Status is 'ok', 'not_found' or 'ambiguous'; equal-distance ties are
+    surfaced, never broken.  Keys are distinct, so an exact hit is the
+    unique nearest key and needs no tree query; radius 0 is exact lookup.
+    """
+    if radius >= 0 and key in table.entries:
+        return "ok", 0, key
+    if radius <= 0:
+        return "not_found", -1, -1
+    matches = ensure_index(table).query(key, radius)
+    if not matches:
+        return "not_found", -1, -1
+    best = min(d for _, d in matches)
+    nearest = [k for k, d in matches if d == best]
+    if len(nearest) > 1:
+        return "ambiguous", best, -1
+    return "ok", best, nearest[0]
+
+
+def _decode_result(table: LookupTable, status: str, distance: int,
+                   matched_key: int) -> DecodeResult:
+    """The packed core's outcome with the stored correction as a pattern."""
+    if status != "ok":
+        return DecodeResult(status=status, distance=distance)
+    pattern = ErrorPattern.from_packed(table.entries[matched_key], table.pc.q.n,
+                                       table.pc.L, table.error_type)
+    return DecodeResult(status, pattern, distance, matched_key)
+
+
+def lookup_decode(table: LookupTable, key: int) -> DecodeResult:
+    """Exact-match decode; not-found is a normal outcome."""
+    return _decode_result(table, *nearest_key(table, key, 0))
 
 
 def min_distance_decode(table: LookupTable, key: int,
@@ -109,17 +138,7 @@ def min_distance_decode(table: LookupTable, key: int,
     """
     if max_radius is None:
         max_radius = table.pc.t_c - table.pc.t_src
-    tree = ensure_index(table)
-    matches = tree.query(key, max_radius)
-    if not matches:
-        return DecodeResult(status="not_found")
-    best = min(d for _, d in matches)
-    nearest = [k for k, d in matches if d == best]
-    if len(nearest) > 1:
-        return DecodeResult(status="ambiguous", distance=best)
-    k = nearest[0]
-    pattern = table.correction(k)
-    return DecodeResult(status="ok", pattern=pattern, distance=best, matched_key=k)
+    return _decode_result(table, *nearest_key(table, key, max_radius))
 
 
 @dataclass(frozen=True)
@@ -137,9 +156,6 @@ class LocalizationResult:
             raise GF2Error("logical index set must be the union of row supports")
 
 
-_ARRAY_CACHE: dict[classical.ClassicalCode, classical.StandardArray] = {}
-
-
 def _coset_leader_support(code: classical.ClassicalCode, syn: int) -> list[int] | None:
     """Support of the minimum-weight error with the given syndrome.
 
@@ -150,11 +166,7 @@ def _coset_leader_support(code: classical.ClassicalCode, syn: int) -> list[int] 
     if code.kind == "bch":
         received = BitMatrix([syn], code.n)  # parity coordinates come first
         return classical.bm_decode(code, received)
-    arr = _ARRAY_CACHE.get(code)
-    if arr is None:
-        arr = classical.build_standard_array(code)
-        _ARRAY_CACHE[code] = arr
-    leader = arr.leaders.get(syn)
+    leader = code.standard_array.leaders.get(syn)
     if leader is None:
         return None
     return gf2.support(BitMatrix([leader], code.n))

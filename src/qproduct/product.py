@@ -233,12 +233,6 @@ class LookupTable:
     max_cols: int = -1  # colwt cap the table was built with (-1: pc.t_c)
     bk_index: object = field(default=None, repr=False, compare=False)
 
-    def correction(self, key: int) -> ErrorPattern | None:
-        value = self.entries.get(key)
-        if value is None:
-            return None
-        return ErrorPattern.from_packed(value, self.pc.q.n, self.pc.L, self.error_type)
-
 
 def build_lookup_table(pc: ProductCode, error_type: str = "X",
                        max_cols: int | None = None) -> LookupTable:

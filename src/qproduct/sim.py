@@ -4,6 +4,11 @@ Samples independent Bernoulli error patterns (and optionally syndrome
 measurement noise), runs the table decoders, and reports empirical failure
 rates with Wilson 95% intervals against the closed-form prediction.
 
+Shots are triaged per batch in numpy: class misses, noise over the budget
+and shots whose truth and (noisy) key are both zero against a table storing
+0 -> 0 are counted as arrays, so only the remaining shots reach the Python
+loop that calls the decoder's packed nearest-key core.
+
 Randomness comes from numpy's Philox counter-based generator, so streams
 are reproducible bit-exactly from the 64-bit seed on any platform.
 """
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics, decoder, quantum
-from .gf2 import GF2Error
+from .gf2 import BitMatrix, GF2Error
 from .product import LookupTable, ProductCode, build_lookup_table
 
 BATCH = 1 << 15
@@ -71,17 +76,15 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _key_matrix(pc: ProductCode, error_type: str) -> np.ndarray:
+def _key_matrix(hq: BitMatrix, hc: BitMatrix) -> np.ndarray:
     """(n*L) x key_bits map from vec(eps) bits to flattened syndrome bits.
 
     vec bit l*n + q feeds key bit i*R + r exactly when H_Q[i, q] and
     H_C[r, l] are both 1 (the Kronecker structure, reindexed to match the
     stabilizer-major key packing).
     """
-    hq = pc.q.check_matrix(error_type).to_numpy()
-    hc = pc.h_c.to_numpy()
-    m = np.einsum("iq,rl->lqir", hq, hc)
-    return m.reshape(pc.q.n * pc.L, hq.shape[0] * pc.R).astype(np.uint8)
+    m = np.einsum("iq,rl->lqir", hq.to_numpy(), hc.to_numpy())
+    return m.reshape(hq.cols * hc.cols, hq.rows * hc.rows).astype(np.uint8)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -93,15 +96,11 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return bits.astype(np.int64) @ powers
 
 
-def _noise_probs(pc: ProductCode, error_type: str, p_e: float) -> np.ndarray:
+def _noise_probs(hq: BitMatrix, hc: BitMatrix, p_e: float) -> np.ndarray:
     """Per-key-bit flip probability from the gate count feeding each ancilla."""
-    hq_w = pc.q.check_matrix(error_type).row_weights()
-    hc_w = pc.h_c.row_weights()
-    probs = np.empty(len(hq_w) * pc.R)
-    for i, wq in enumerate(hq_w):
-        for r, wc in enumerate(hc_w):
-            probs[i * pc.R + r] = analytics.syndrome_error_prob(wq * wc, p_e)
-    return probs
+    hc_w = hc.row_weights()
+    return np.array([analytics.syndrome_error_prob(wq * wc, p_e)
+                     for wq in hq.row_weights() for wc in hc_w])
 
 
 def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialReport:
@@ -111,24 +110,23 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
         # d_C - 2 t_src key separation covers the nearest-neighbor radius
         max_cols = pc.t_src if cfg.decode_mode == "min_distance" else pc.t_c
         table = build_lookup_table(pc, cfg.error_type, max_cols=max_cols)
-    n, L = pc.q.n, pc.L
+    hq, hc = pc.q.check_matrix(cfg.error_type), pc.h_c
+    n, L = hq.cols, hc.cols
     if n * L > 62 or table.key_bits > 62:
         raise GF2Error("simulation fast path limited to 62-bit patterns/keys")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    key_mat = _key_matrix(pc, cfg.error_type)
+    key_mat = _key_matrix(hq, hc)
     span = pc.q.stabilizer_span(cfg.error_type)
     lookup = cfg.decode_mode == "lookup"
     entries = table.entries
-    # an error-free shot has the zero key; when the table stores the zero
-    # correction there, such shots (most of them at small p) need no lookup
-    skip_zero = lookup and entries.get(0) == 0
+    # a shot with zero truth and zero (noisy) key decodes to the zero
+    # correction whenever the table stores it there: no decoder call needed
+    skip_zero = entries.get(0) == 0
     radius = pc.t_c - pc.t_src
-    noise_probs = (_noise_probs(pc, cfg.error_type, cfg.p_e)
-                   if cfg.syndrome_noise else None)
+    noise_probs = _noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
 
     breakdown = {"class_misses": 0, "decode_errors": 0, "ambiguities": 0,
                  "noise_over_budget": 0, "degenerate_hits": 0}
-    failures = 0
     done = 0
     while done < cfg.shots:
         b = min(BATCH, cfg.shots - done)
@@ -137,34 +135,26 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
         keys = _pack((bits @ key_mat) & 1)
         truths = _pack(bits)
         colw = bits.reshape(b, L, n).sum(axis=2)
-        in_e = ((colw <= pc.t_q).all(axis=1)
-                & ((colw > 0).sum(axis=1) <= pc.t_c))
+        cols_hit = (colw > 0).sum(axis=1)
+        live = (colw <= pc.t_q).all(axis=1) & (cols_hit <= pc.t_c)
+        breakdown["class_misses"] += b - int(live.sum())
         if cfg.syndrome_noise:
-            flips = _pack((rng.random((b, table.key_bits))
-                           < noise_probs).astype(np.uint8))
-            in_budget = (colw > 0).sum(axis=1) <= pc.t_src
-        for shot in range(b):
-            if not in_e[shot]:
-                failures += 1
-                breakdown["class_misses"] += 1
-                continue
-            truth = int(truths[shot])
-            key = int(keys[shot])
-            if truth == 0 and skip_zero:
-                continue
+            flips = (rng.random((b, table.key_bits)) < noise_probs).astype(np.uint8)
+            over = live & ~((cols_hit <= pc.t_src) & (flips.sum(axis=1) <= radius))
+            breakdown["noise_over_budget"] += int(over.sum())
+            live &= ~over
+            keys ^= _pack(flips)
+        if skip_zero:
+            live &= (truths != 0) | (keys != 0)
+        idx = np.flatnonzero(live)
+        for truth, key in zip(truths[idx].tolist(), keys[idx].tolist()):
             cause = "decode_errors"
             if lookup:
                 stored = entries.get(key)
             else:
-                flip = int(flips[shot]) if cfg.syndrome_noise else 0
-                if cfg.syndrome_noise and not (in_budget[shot]
-                                               and flip.bit_count() <= radius):
-                    failures += 1
-                    breakdown["noise_over_budget"] += 1
-                    continue
-                result = decoder.min_distance_decode(table, key ^ flip, radius)
-                stored = entries[result.matched_key] if result.status == "ok" else None
-                if result.status == "ambiguous":
+                status, _, matched = decoder.nearest_key(table, key, radius)
+                stored = entries[matched] if status == "ok" else None
+                if status == "ambiguous":
                     cause = "ambiguities"
             # one classification of stored against true correction, both modes
             if stored == truth:
@@ -172,8 +162,8 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
             if stored is not None and quantum.differs_by_stabilizers(stored ^ truth, n, span):
                 breakdown["degenerate_hits"] += 1
             else:
-                failures += 1
                 breakdown[cause] += 1
+    failures = sum(v for cause, v in breakdown.items() if cause != "degenerate_hits")
     rate = failures / cfg.shots
     return TrialReport(
         shots=cfg.shots,

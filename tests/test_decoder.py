@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qproduct import classical, decoder, gf2, product, quantum
@@ -123,6 +124,50 @@ def test_min_distance_default_radius_is_corruption_budget():
     # three flips exceed the default budget of two
     res = decoder.min_distance_decode(table, corrupted)
     assert res.status in ("not_found", "ambiguous") or res.distance <= 2
+
+
+def brute_nearest(entries, keys, radius):
+    """nearest_key's answers by exhaustive distance to every stored key."""
+    stored = np.array(sorted(entries), dtype=np.int64)
+    x = np.asarray(keys, dtype=np.int64)[:, None] ^ stored[None, :]
+    dist = np.unpackbits(x.view(np.uint8).reshape(*x.shape, 8), axis=2).sum(axis=2)
+    best = dist.min(axis=1)
+    ties = (dist == best[:, None]).sum(axis=1)
+    nearest = stored[dist.argmin(axis=1)]
+    return [("not_found", -1, -1) if d > radius
+            else ("ok", d, k) if t == 1 else ("ambiguous", d, -1)
+            for d, t, k in zip(best.tolist(), ties.tolist(), nearest.tolist())]
+
+
+def assert_nearest_matches_brute(table, keys, radius):
+    got = [decoder.nearest_key(table, k, radius) for k in keys]
+    assert got == brute_nearest(table.entries, keys, radius)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_nearest_key_exhaustive_on_desk_and_tie_tables(radius):
+    pc, table = desk_table()
+    tie = product.LookupTable(pc=pc, error_type="X", key_bits=6,
+                              entries={0b01: 0, 0b10: 0})
+    for t in (table, tie):
+        assert_nearest_matches_brute(t, list(range(1 << 6)), radius)
+
+
+def test_nearest_key_near_every_stored_key():
+    """Every key within radius + 1 of a stored key of bch:15:3pt x steane."""
+    pc, table = noisy_table()
+    radius = pc.t_c - pc.t_src
+    masks = [sum(1 << i for i in flips) for w in range(radius + 2)
+             for flips in itertools.combinations(range(table.key_bits), w)]
+    keys = sorted({k ^ m for k in table.entries for m in masks})
+    assert_nearest_matches_brute(table, keys, radius)
+
+
+def test_nearest_key_exact_hit_skips_the_tree():
+    pc, table = noisy_table()
+    key = sorted(table.entries)[3]
+    assert decoder.nearest_key(table, key, 2) == ("ok", 0, key)
+    assert table.bk_index is None
 
 
 # -- localization -------------------------------------------------------------

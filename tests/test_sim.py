@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qproduct import classical, product, quantum, sim
+from qproduct import analytics, classical, decoder, product, quantum, sim
 from qproduct.gf2 import GF2Error
 from qproduct.product import ProductCode
 from qproduct.sim import TrialConfig
@@ -52,7 +52,7 @@ def test_wilson_interval_covers_true_rate():
 
 def test_key_matrix_matches_extract_syndrome():
     pc = desk_instance()
-    m = sim._key_matrix(pc, "X")
+    m = sim._key_matrix(pc.q.check_matrix("X"), pc.h_c)
     for bit in range(pc.N):
         e = product.ErrorPattern.from_packed(1 << bit, pc.q.n, pc.L)
         key = product.extract_syndrome(pc, e).key
@@ -72,7 +72,7 @@ def test_pack_width_guard():
 def test_noise_probs_closed_form():
     pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt",
                      t_src=1)
-    probs = sim._noise_probs(pc, "X", 1e-3)
+    probs = sim._noise_probs(pc.q.check_matrix("X"), pc.h_c, 1e-3)
     assert probs.shape == (3 * pc.R,)
     hq_w = pc.q.hz.row_weights()
     hc_w = pc.c.pt.row_weights()
@@ -182,3 +182,156 @@ def test_run_trials_report_invariants():
     with pytest.raises(GF2Error, match="exceed"):
         sim.TrialReport(shots=5, failures=6, empirical_rate=1.2,
                         wilson_95_interval=(0, 1), analytic_rate=0.1)
+
+
+# -- batch triage against the per-shot loop -------------------------------------
+
+def reference_run_trials(cfg, table):
+    """The per-shot loop that preceded the batch triage: every shot visits
+    Python, and min_distance mode decodes each in-class shot."""
+    pc = cfg.pc
+    hq, hc = pc.q.check_matrix(cfg.error_type), pc.h_c
+    n, L = pc.q.n, pc.L
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    key_mat = sim._key_matrix(hq, hc)
+    span = pc.q.stabilizer_span(cfg.error_type)
+    lookup = cfg.decode_mode == "lookup"
+    entries = table.entries
+    skip_zero = lookup and entries.get(0) == 0
+    radius = pc.t_c - pc.t_src
+    noise_probs = sim._noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
+    breakdown = {"class_misses": 0, "decode_errors": 0, "ambiguities": 0,
+                 "noise_over_budget": 0, "degenerate_hits": 0}
+    failures = 0
+    done = 0
+    while done < cfg.shots:
+        b = min(sim.BATCH, cfg.shots - done)
+        done += b
+        bits = (rng.random((b, n * L)) < cfg.p).astype(np.uint8)
+        keys = sim._pack((bits @ key_mat) & 1)
+        truths = sim._pack(bits)
+        colw = bits.reshape(b, L, n).sum(axis=2)
+        in_e = ((colw <= pc.t_q).all(axis=1)
+                & ((colw > 0).sum(axis=1) <= pc.t_c))
+        if cfg.syndrome_noise:
+            flips = sim._pack((rng.random((b, table.key_bits))
+                               < noise_probs).astype(np.uint8))
+            in_budget = (colw > 0).sum(axis=1) <= pc.t_src
+        for shot in range(b):
+            if not in_e[shot]:
+                failures += 1
+                breakdown["class_misses"] += 1
+                continue
+            truth = int(truths[shot])
+            key = int(keys[shot])
+            if truth == 0 and skip_zero:
+                continue
+            cause = "decode_errors"
+            if lookup:
+                stored = entries.get(key)
+            else:
+                flip = int(flips[shot]) if cfg.syndrome_noise else 0
+                if cfg.syndrome_noise and not (in_budget[shot]
+                                               and flip.bit_count() <= radius):
+                    failures += 1
+                    breakdown["noise_over_budget"] += 1
+                    continue
+                result = decoder.min_distance_decode(table, key ^ flip, radius)
+                stored = entries[result.matched_key] if result.status == "ok" else None
+                if result.status == "ambiguous":
+                    cause = "ambiguities"
+            if stored == truth:
+                continue
+            if stored is not None and quantum.differs_by_stabilizers(stored ^ truth, n, span):
+                breakdown["degenerate_hits"] += 1
+            else:
+                failures += 1
+                breakdown[cause] += 1
+    return sim.TrialReport(
+        shots=cfg.shots, failures=failures, empirical_rate=failures / cfg.shots,
+        wilson_95_interval=sim.wilson_interval(failures, cfg.shots),
+        analytic_rate=analytics.failure_probability(cfg.p, pc), breakdown=breakdown)
+
+
+def bch_steane():
+    return ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt", t_src=1)
+
+
+def _shifted_table():
+    pc = bch_steane()
+    table = product.build_lookup_table(pc)
+    shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
+    table.entries = {k: v ^ shift for k, v in table.entries.items()}
+    return table
+
+
+def _tie_table():
+    return product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6,
+                               entries={0b01: 0, 0b10: 0})
+
+
+TRIAGE_CASES = {
+    "desk-lookup-0.01": lambda: (desk_instance(), {"p": 0.01}, None),
+    "desk-lookup-0.05": lambda: (desk_instance(), {"p": 0.05}, None),
+    "desk-lookup-0.2": lambda: (desk_instance(), {"p": 0.2}, None),
+    "bch-min-distance": lambda: (bch_steane(), {"p": 0.01, "decode_mode": "min_distance"},
+                                 None),
+    "bch-min-distance-noisy": lambda: (
+        bch_steane(), {"p": 0.01, "decode_mode": "min_distance", "syndrome_noise": True,
+                       "p_e": 0.003}, None),
+    "shifted-lookup": lambda: (bch_steane(), {"p": 0.02}, _shifted_table()),
+    "shifted-min-distance": lambda: (bch_steane(), {"p": 0.02, "decode_mode": "min_distance"},
+                                     _shifted_table()),
+    "tie-table": lambda: (desk_instance(), {"p": 0.01, "decode_mode": "min_distance"},
+                          _tie_table()),
+    "tie-table-noisy": lambda: (desk_instance(), {"p": 0.01, "decode_mode": "min_distance",
+                                                  "syndrome_noise": True, "p_e": 0.01},
+                                _tie_table()),
+    # t_C = 3 admits three-column normalizer elements: nonzero truth, zero key
+    "desk-normalizers-in-class": lambda: (
+        ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt", t_c=3),
+        {"p": 0.1}, product.build_lookup_table(desk_instance())),
+}
+
+
+@pytest.mark.parametrize("shots", [1, 1000, 40000])
+@pytest.mark.parametrize("case", list(TRIAGE_CASES))
+def test_run_trials_triage_matches_per_shot_loop(case, shots):
+    """Same report, breakdown included, as the per-shot loop; 40 000 shots
+    span two batches of sim.BATCH."""
+    pc, kwargs, table = TRIAGE_CASES[case]()
+    if table is None:
+        max_cols = pc.t_src if kwargs.get("decode_mode") == "min_distance" else pc.t_c
+        table = product.build_lookup_table(pc, max_cols=max_cols)
+    cfg = TrialConfig(pc=pc, shots=shots, seed=shots + 17, **kwargs)
+    assert sim.run_trials(cfg, table) == reference_run_trials(cfg, table)
+
+
+def test_min_distance_cost_does_not_grow_with_shots(monkeypatch):
+    """Per-shot work stays packed: no ErrorPattern is built and ProductCode
+    derived matrices are read a fixed number of times per call."""
+    pc = bch_steane()
+    table = product.build_lookup_table(pc, max_cols=pc.t_src)
+    counts = {"from_packed": 0, "h_c": 0}
+    from_packed = product.ErrorPattern.from_packed.__func__
+    h_c = ProductCode.h_c.fget
+
+    def counting_from_packed(cls, *args, **kwargs):
+        counts["from_packed"] += 1
+        return from_packed(cls, *args, **kwargs)
+
+    def counting_h_c(self):
+        counts["h_c"] += 1
+        return h_c(self)
+
+    monkeypatch.setattr(product.ErrorPattern, "from_packed", classmethod(counting_from_packed))
+    monkeypatch.setattr(ProductCode, "h_c", property(counting_h_c))
+    reads = []
+    for shots in (2000, 20000):
+        counts.update(from_packed=0, h_c=0)
+        sim.run_trials(TrialConfig(pc=pc, p=1e-3, shots=shots, seed=5,
+                                   decode_mode="min_distance", syndrome_noise=True,
+                                   p_e=1e-3), table)
+        assert counts["from_packed"] == 0
+        reads.append(counts["h_c"])
+    assert reads[0] == reads[1]
