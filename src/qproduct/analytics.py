@@ -8,6 +8,7 @@ Poisson-binomial tails, and Shannon/hashing bound margins.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,13 +44,11 @@ class ErrorModel:
 
 
 def binomial_tail(p: float, n: int, t: int) -> float:
-    """P(X > t) for X ~ Binomial(n, p), summed directly to avoid cancellation."""
+    """P(X > t) for X ~ Binomial(n, p), summed directly; terms after p ** tau hits 0.0 are 0.0."""
     if p <= 0.0:
         return 0.0
-    return math.fsum(
-        math.comb(n, tau) * p ** tau * (1.0 - p) ** (n - tau)
-        for tau in range(t + 1, n + 1)
-    )
+    taus = itertools.takewhile(lambda tau: p ** tau > 0.0, range(t + 1, n + 1))
+    return math.fsum(math.comb(n, tau) * p ** tau * (1.0 - p) ** (n - tau) for tau in taus)
 
 
 def p_col_exceeds(p: float, n: int, t: int) -> float:
@@ -92,9 +91,10 @@ def failure_probability(model: ErrorModel | float, pc: ProductCode,
     """
     p = model.p if isinstance(model, ErrorModel) else model
     n = pc.q.n
+    L = pc.L  # each read rebuilds P^T
     p1 = _column_tail(p, n, pc.t_q, pc.q.d, mode)
-    p2 = p_block_exceeds(p_logical(p, n), pc.L, pc.t_c)
-    return pc.L * p1 + p2 - pc.L * p1 * p2
+    p2 = p_block_exceeds(p_logical(p, n), L, pc.t_c)
+    return L * p1 + p2 - L * p1 * p2
 
 
 def floor_eps(value: float) -> float:

@@ -223,9 +223,23 @@ def cmd_analyze(args) -> int:
     raise GF2Error(f"unknown analyze target {args.what!r}")
 
 
+SIM_KEYS = {"c": str, "q": str, "p": (int, float), "shots": int, "seed": int,
+            "t_c": int, "t_q": int, "t_src": int, "error_type": str,
+            "syndrome_noise": bool, "p_e": (int, float), "decode_mode": str}
+
+
 def cmd_simulate(args) -> int:
     with open(args.config, encoding="ascii") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or a non-ASCII byte
+            raise GF2Error(f"{args.config}: not a JSON config: {exc}") from exc
+    if not isinstance(raw, dict) or not {"c", "q", "p", "shots", "seed"} <= raw.keys():
+        raise GF2Error(f"{args.config}: config must be an object with c, q, p, shots, seed")
+    bad = [key for key, kind in SIM_KEYS.items() if key in raw and (
+        not isinstance(raw[key], kind) or isinstance(raw[key], bool) != (kind is bool))]
+    if bad:
+        raise GF2Error(f"{args.config}: wrong JSON type for {', '.join(bad)}")
     c, hc_mode = _classical_from_id(raw["c"])
     q = _quantum_from_id(raw["q"])
     pc = product.ProductCode(c=c, q=q, hc_mode=hc_mode,

@@ -222,8 +222,8 @@ class LookupTable:
     """Flattened product syndrome -> packed correction pattern.
 
     Keys and values are the integer packings of ProductSyndrome.key and
-    ErrorPattern.packed().  ``bk_index`` is filled in lazily by the
-    decoder module for nearest-neighbor queries.
+    ErrorPattern.packed().  ``bk_index`` (decoder) and ``key_arrays`` (sim)
+    are built from ``entries`` on first use and are not rebuilt after it.
     """
 
     pc: ProductCode
@@ -232,6 +232,7 @@ class LookupTable:
     entries: dict[int, int]
     max_cols: int = -1  # colwt cap the table was built with (-1: pc.t_c)
     bk_index: object = field(default=None, repr=False, compare=False)
+    key_arrays: object = field(default=None, repr=False, compare=False)
 
 
 def build_lookup_table(pc: ProductCode, error_type: str = "X",

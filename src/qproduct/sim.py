@@ -4,10 +4,10 @@ Samples independent Bernoulli error patterns (and optionally syndrome
 measurement noise), runs the table decoders, and reports empirical failure
 rates with Wilson 95% intervals against the closed-form prediction.
 
-Shots are triaged per batch in numpy: class misses, noise over the budget
-and shots whose truth and (noisy) key are both zero against a table storing
-0 -> 0 are counted as arrays, so only the remaining shots reach the Python
-loop that calls the decoder's packed nearest-key core.
+Each batch packs its error patterns and syndrome flips into int64 values
+and triages only the nonzero shots (keys from per-byte XOR tables, weights
+from a byte popcount table); all-zero shots share one outcome, decided once
+per call.  Lookup mode reads the table with one vectorised search.
 
 Randomness comes from numpy's Philox counter-based generator, so streams
 are reproducible bit-exactly from the 64-bit seed on any platform.
@@ -41,8 +41,9 @@ class TrialConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise GF2Error(f"shots must be >= 1, got {self.shots}")
-        if not 0.0 <= self.p <= 1.0:
-            raise GF2Error(f"p={self.p} outside [0, 1]")
+        for name in ("p", "p_e"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise GF2Error(f"{name}={getattr(self, name)} outside [0, 1]")
         if self.decode_mode not in ("lookup", "min_distance"):
             raise GF2Error(f"unknown decode_mode {self.decode_mode!r}")
         if self.syndrome_noise and self.decode_mode == "lookup":
@@ -76,24 +77,32 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _key_matrix(hq: BitMatrix, hc: BitMatrix) -> np.ndarray:
-    """(n*L) x key_bits map from vec(eps) bits to flattened syndrome bits.
-
-    vec bit l*n + q feeds key bit i*R + r exactly when H_Q[i, q] and
-    H_C[r, l] are both 1 (the Kronecker structure, reindexed to match the
-    stabilizer-major key packing).
-    """
-    m = np.einsum("iq,rl->lqir", hq.to_numpy(), hc.to_numpy())
-    return m.reshape(hq.cols * hc.cols, hq.rows * hc.rows).astype(np.uint8)
-
-
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """Pack rows of a (shots, width) bit array into int64 values."""
-    width = bits.shape[1]
+    """Pack rows of a (shots, width) 0/1 array into int64 values, column j at bit j."""
+    shots, width = bits.shape
     if width > 62:
         raise GF2Error(f"packed width {width} exceeds int64 range")
-    powers = (np.int64(1) << np.arange(width, dtype=np.int64))
-    return bits.astype(np.int64) @ powers
+    rows = np.zeros((shots, 64), dtype=bool)  # one flat pack beats a per-row pack
+    rows[:, :width] = bits
+    return np.packbits(rows, bitorder="little").view("<i8")
+
+
+_BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1  # [i, v]: bit i of byte value v
+_POP8 = _BYTE_BITS.sum(axis=0)
+
+
+def _key_tables(hq: BitMatrix, hc: BitMatrix) -> np.ndarray:
+    """(bytes, 256) tables: [j, v] is the packed key of the bits set in value v
+    of byte j of vec(eps), where vec bit l*n + q sets key bit i*R + r exactly
+    when H_Q[i, q] and H_C[r, l] are both 1 (stabilizer-major key packing)."""
+    m = np.einsum("iq,rl->lqir", hq.to_numpy(), hc.to_numpy()).reshape(-1, hq.rows * hc.rows)
+    bit_keys = np.concatenate((_pack(m), np.zeros(-len(m) % 8, dtype=np.int64)))  # whole bytes
+    return np.bitwise_xor.reduce(bit_keys.reshape(-1, 8, 1) * _BYTE_BITS, axis=1)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each value of a nonnegative int64 array, read per byte."""
+    return _POP8[x[..., None].view(np.uint8)].sum(axis=-1)
 
 
 def _noise_probs(hq: BitMatrix, hc: BitMatrix, p_e: float) -> np.ndarray:
@@ -115,60 +124,64 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
     if n * L > 62 or table.key_bits > 62:
         raise GF2Error("simulation fast path limited to 62-bit patterns/keys")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    key_mat = _key_matrix(hq, hc)
+    key_tables = _key_tables(hq, hc)
     span = pc.q.stabilizer_span(cfg.error_type)
-    lookup = cfg.decode_mode == "lookup"
-    entries = table.entries
-    # a shot with zero truth and zero (noisy) key decodes to the zero
-    # correction whenever the table stores it there: no decoder call needed
-    skip_zero = entries.get(0) == 0
     radius = pc.t_c - pc.t_src
     noise_probs = _noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
 
+    def charge(truths, flips, counts):
+        """Add the outcomes of shots with packed truths and flips to counts."""
+        cols = (truths[:, None] >> (np.arange(L) * n)) & ((1 << n) - 1)
+        hit = np.count_nonzero(cols, axis=1)
+        live = (_popcount(cols) <= pc.t_q).all(axis=1) & (hit <= pc.t_c)
+        counts["class_misses"] += len(truths) - int(live.sum())
+        if cfg.syndrome_noise:
+            over = live & ~((hit <= pc.t_src) & (_popcount(flips) <= radius))
+            counts["noise_over_budget"] += int(over.sum())
+            live &= ~over
+        truths, keys = truths[live], flips[live]
+        for j, key_table in enumerate(key_tables):
+            keys ^= key_table[(truths >> (8 * j)) & 255]
+        if cfg.decode_mode == "lookup":  # one search over the sorted stored keys
+            if table.key_arrays is None:  # key -1 pads an empty table
+                items = sorted(table.entries.items()) or [(-1, 0)]
+                table.key_arrays = np.array(items, dtype=np.int64).T.copy()
+            stored_keys, values = table.key_arrays
+            pos = np.minimum(np.searchsorted(stored_keys, keys), len(stored_keys) - 1)
+            found, stored, ambiguous = stored_keys[pos] == keys, values[pos], 0
+        else:  # a miss matches key -1, which no table stores
+            hits = [decoder.nearest_key(table, key, radius) for key in keys.tolist()]
+            found = np.array([status == "ok" for status, _, _ in hits], dtype=bool)
+            stored = np.array([table.entries.get(k, 0) for _, _, k in hits], dtype=np.int64)
+            ambiguous = sum(status == "ambiguous" for status, _, _ in hits)
+        counts["ambiguities"] += ambiguous
+        counts["decode_errors"] += len(keys) - int(found.sum()) - ambiguous
+        # one classification of stored against true correction, both modes
+        wrong = found & (stored != truths)
+        for diff in (stored[wrong] ^ truths[wrong]).tolist():
+            degenerate = quantum.differs_by_stabilizers(diff, n, span)
+            counts["degenerate_hits" if degenerate else "decode_errors"] += 1
+
     breakdown = {"class_misses": 0, "decode_errors": 0, "ambiguities": 0,
                  "noise_over_budget": 0, "degenerate_hits": 0}
-    done = 0
+    zero = dict.fromkeys(breakdown, 0)  # the outcome every all-zero shot has
+    charge(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), zero)
+    zeros = done = 0
     while done < cfg.shots:
         b = min(BATCH, cfg.shots - done)
         done += b
-        bits = (rng.random((b, n * L)) < cfg.p).astype(np.uint8)
-        keys = _pack((bits @ key_mat) & 1)
-        truths = _pack(bits)
-        colw = bits.reshape(b, L, n).sum(axis=2)
-        cols_hit = (colw > 0).sum(axis=1)
-        live = (colw <= pc.t_q).all(axis=1) & (cols_hit <= pc.t_c)
-        breakdown["class_misses"] += b - int(live.sum())
-        if cfg.syndrome_noise:
-            flips = (rng.random((b, table.key_bits)) < noise_probs).astype(np.uint8)
-            over = live & ~((cols_hit <= pc.t_src) & (flips.sum(axis=1) <= radius))
-            breakdown["noise_over_budget"] += int(over.sum())
-            live &= ~over
-            keys ^= _pack(flips)
-        if skip_zero:
-            live &= (truths != 0) | (keys != 0)
-        idx = np.flatnonzero(live)
-        for truth, key in zip(truths[idx].tolist(), keys[idx].tolist()):
-            cause = "decode_errors"
-            if lookup:
-                stored = entries.get(key)
-            else:
-                status, _, matched = decoder.nearest_key(table, key, radius)
-                stored = entries[matched] if status == "ok" else None
-                if status == "ambiguous":
-                    cause = "ambiguities"
-            # one classification of stored against true correction, both modes
-            if stored == truth:
-                continue
-            if stored is not None and quantum.differs_by_stabilizers(stored ^ truth, n, span):
-                breakdown["degenerate_hits"] += 1
-            else:
-                breakdown[cause] += 1
+        truths = _pack(rng.random((b, n * L)) < cfg.p)
+        flips = (_pack(rng.random((b, table.key_bits)) < noise_probs)
+                 if cfg.syndrome_noise else np.zeros(b, dtype=np.int64))
+        nonzero = np.flatnonzero(truths | flips)
+        zeros += b - len(nonzero)
+        charge(truths[nonzero], flips[nonzero], breakdown)
+    breakdown = {cause: v + zero[cause] * zeros for cause, v in breakdown.items()}
     failures = sum(v for cause, v in breakdown.items() if cause != "degenerate_hits")
-    rate = failures / cfg.shots
     return TrialReport(
         shots=cfg.shots,
         failures=failures,
-        empirical_rate=rate,
+        empirical_rate=failures / cfg.shots,
         wilson_95_interval=wilson_interval(failures, cfg.shots),
         analytic_rate=analytics.failure_probability(cfg.p, pc),
         breakdown=breakdown,

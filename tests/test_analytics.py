@@ -34,6 +34,19 @@ def test_binomial_tail_edge_cases():
     assert analytics.binomial_tail(1.0, 5, 4) == pytest.approx(1.0)
 
 
+def test_binomial_tail_equals_full_sum():
+    """Stopping at the first underflowed p ** tau leaves the sum bit-identical."""
+    def full_sum(p, n, t):
+        return math.fsum(math.comb(n, tau) * p ** tau * (1.0 - p) ** (n - tau)
+                         for tau in range(t + 1, n + 1))
+
+    for p in (1.0, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-9, 1e-30, 1e-200, 5e-324):
+        for n in (1, 7, 17, 23, 127, 255, 1023):
+            for t in sorted({0, 1, 2, 3, 11, n // 2, n - 1, n}):
+                if t <= n:
+                    assert analytics.binomial_tail(p, n, t) == full_sum(p, n, t), (p, n, t)
+
+
 def test_p_logical_complement_identity():
     assert analytics.p_logical(0.1, 3) == pytest.approx(1 - 0.9 ** 3)
     assert analytics.p_logical(0.0, 7) == 0.0

@@ -184,6 +184,26 @@ def test_simulate_command(capsys, tmp_path):
     assert (tmp_path / "report.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"c": "hamming3pt", "q": "rep3", "p": 0.01, "seed": 1}', "object with c, q, p, shots, seed"),
+    ('{"c": "hamming3pt", "q": "rep3", "p": 0.01, "shots": 20', "not a JSON config"),
+    ('{"c": "hamming3pt", "q": "rep3", "p": 0.01, "shots": "20", "seed": 1}',
+     "wrong JSON type for shots"),
+    ('{"c": "hamming3pt", "q": "rep3", "p": 0.01, "shots": 20, "seed": 1,'
+     ' "syndrome_noise": 1}', "wrong JSON type for syndrome_noise"),
+    ('[1, 2]', "object with c, q, p, shots, seed"),
+    ('{"c": "bch:15:3pt", "q": "steane", "p": 0.01, "shots": 20, "seed": 1,'
+     ' "t_src": 1, "decode_mode": "min_distance", "syndrome_noise": true,'
+     ' "p_e": 1.5}', "p_e=1.5 outside"),
+], ids=["no-shots", "truncated", "shots-string", "noise-int", "json-list", "p_e-above-1"])
+def test_simulate_bad_config_is_an_error_line(capsys, tmp_path, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_circuit_emit_json(capsys):
     code, out, _ = run(capsys, "circuit", "emit", "--c", "hamming3pt",
                        "--q", "rep3")

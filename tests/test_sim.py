@@ -26,6 +26,10 @@ def test_trial_config_validation():
         TrialConfig(pc=pc, p=0.1, shots=10, seed=1, decode_mode="magic")
     with pytest.raises(GF2Error, match="min_distance"):
         TrialConfig(pc=pc, p=0.1, shots=10, seed=1, syndrome_noise=True)
+    for p_e in (1.5, -0.5, float("nan")):
+        with pytest.raises(GF2Error, match="p_e="):
+            TrialConfig(pc=pc, p=0.1, shots=10, seed=1, p_e=p_e,
+                        decode_mode="min_distance", syndrome_noise=True)
 
 
 def test_wilson_interval_known_values():
@@ -50,16 +54,42 @@ def test_wilson_interval_covers_true_rate():
     assert covered / runs > 0.9
 
 
-def test_key_matrix_matches_extract_syndrome():
-    pc = desk_instance()
-    m = sim._key_matrix(pc.q.check_matrix("X"), pc.h_c)
-    for bit in range(pc.N):
-        e = product.ErrorPattern.from_packed(1 << bit, pc.q.n, pc.L)
-        key = product.extract_syndrome(pc, e).key
-        vec = np.zeros(pc.N, dtype=np.uint8)
-        vec[bit] = 1
-        packed = int(sim._pack(((vec @ m) & 1)[None, :])[0])
-        assert packed == key
+def color17_rep5():
+    return ProductCode(classical.repetition(5), quantum.color17(), hc_mode="pt")
+
+
+def steane_hamming_full():
+    return ProductCode(classical.hamming(3), quantum.steane(), hc_mode="full")
+
+
+def test_key_tables_match_extract_syndrome():
+    """The packed key of every single-bit pattern, and of random multi-bit
+    patterns read through the byte tables, is extract_syndrome's key."""
+    rng = random.Random(8)
+    for pc in (desk_instance(), bch_steane(), color17_rep5(), steane_hamming_full()):
+        tables = sim._key_tables(pc.q.check_matrix("X"), pc.h_c)
+        assert tables.shape == (-(-pc.N // 8), 256)
+        assert not tables[:, 0].any()
+        for bit in range(pc.N):
+            e = product.ErrorPattern.from_packed(1 << bit, pc.q.n, pc.L)
+            assert int(tables[bit // 8, 1 << (bit % 8)]) == product.extract_syndrome(pc, e).key
+        for _ in range(50):
+            packed = rng.getrandbits(pc.N)
+            e = product.ErrorPattern.from_packed(packed, pc.q.n, pc.L)
+            key = 0
+            for j, table in enumerate(tables):
+                key ^= int(table[(packed >> (8 * j)) & 255])
+            assert key == product.extract_syndrome(pc, e).key
+
+
+def test_popcount_matches_bit_count():
+    rng = random.Random(2)
+    values = [0, 1, 255, 256, (1 << 62) - 1] + [rng.getrandbits(62) for _ in range(200)]
+    got = sim._popcount(np.array(values, dtype=np.int64))
+    assert got.tolist() == [v.bit_count() for v in values]
+    grid = np.array(values[:200], dtype=np.int64).reshape(40, 5)
+    assert sim._popcount(grid).tolist() == [[v.bit_count() for v in row]
+                                            for row in grid.tolist()]
 
 
 def test_pack_width_guard():
@@ -67,6 +97,10 @@ def test_pack_width_guard():
         sim._pack(np.zeros((1, 80), dtype=np.uint8))
     got = sim._pack(np.array([[1, 0, 1]], dtype=np.uint8))
     assert int(got[0]) == 0b101
+    rng = np.random.default_rng(0)
+    bits = rng.random((40, 62)) < 0.5
+    want = [sum(1 << j for j in range(62) if row[j]) for row in bits]
+    assert sim._pack(bits).tolist() == want
 
 
 def test_noise_probs_closed_form():
@@ -186,6 +220,12 @@ def test_run_trials_report_invariants():
 
 # -- batch triage against the per-shot loop -------------------------------------
 
+def _key_matrix(hq, hc):
+    """(n*L) x key_bits 0/1 map from vec(eps) bits to flattened syndrome bits."""
+    m = np.einsum("iq,rl->lqir", hq.to_numpy(), hc.to_numpy())
+    return m.reshape(hq.cols * hc.cols, hq.rows * hc.rows).astype(np.uint8)
+
+
 def reference_run_trials(cfg, table):
     """The per-shot loop that preceded the batch triage: every shot visits
     Python, and min_distance mode decodes each in-class shot."""
@@ -193,7 +233,7 @@ def reference_run_trials(cfg, table):
     hq, hc = pc.q.check_matrix(cfg.error_type), pc.h_c
     n, L = pc.q.n, pc.L
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    key_mat = sim._key_matrix(hq, hc)
+    key_mat = _key_matrix(hq, hc)
     span = pc.q.stabilizer_span(cfg.error_type)
     lookup = cfg.decode_mode == "lookup"
     entries = table.entries
@@ -287,6 +327,13 @@ TRIAGE_CASES = {
     "tie-table-noisy": lambda: (desk_instance(), {"p": 0.01, "decode_mode": "min_distance",
                                                   "syndrome_noise": True, "p_e": 0.01},
                                 _tie_table()),
+    # 17-bit columns straddle bytes; degenerate hits at this rate
+    "color17-rep5-lookup": lambda: (color17_rep5(), {"p": 0.02}, None),
+    # N = 49: seven bytes of pattern per shot
+    "steane-hamming-full-lookup": lambda: (steane_hamming_full(), {"p": 0.01}, None),
+    "empty-table-lookup": lambda: (
+        desk_instance(), {"p": 0.05},
+        product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6, entries={})),
     # t_C = 3 admits three-column normalizer elements: nonzero truth, zero key
     "desk-normalizers-in-class": lambda: (
         ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt", t_c=3),
@@ -335,3 +382,33 @@ def test_min_distance_cost_does_not_grow_with_shots(monkeypatch):
         assert counts["from_packed"] == 0
         reads.append(counts["h_c"])
     assert reads[0] == reads[1]
+
+
+def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
+    """Lookup mode reads the table without the nearest-key core, and only
+    shots whose stored correction differs from the truth reach the
+    stabilizer-equivalence test."""
+    calls = {"nearest_key": 0, "differs": 0}
+    nearest_key, differs = decoder.nearest_key, quantum.differs_by_stabilizers
+
+    def counting_nearest_key(*args):
+        calls["nearest_key"] += 1
+        return nearest_key(*args)
+
+    def counting_differs(*args):
+        calls["differs"] += 1
+        return differs(*args)
+
+    monkeypatch.setattr(decoder, "nearest_key", counting_nearest_key)
+    monkeypatch.setattr(quantum, "differs_by_stabilizers", counting_differs)
+    pc = desk_instance()
+    table = product.build_lookup_table(pc)
+    for shots in (2000, 20000):
+        calls.update(nearest_key=0, differs=0)
+        rep = sim.run_trials(TrialConfig(pc=pc, p=0.05, shots=shots, seed=7), table)
+        assert rep.breakdown["class_misses"] > 0
+        assert calls["nearest_key"] == 0
+        # with the desk table every in-class key is stored, so a failure
+        # with a stored entry is a decode error
+        assert calls["differs"] == (rep.breakdown["degenerate_hits"]
+                                    + rep.breakdown["decode_errors"])
