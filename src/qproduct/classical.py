@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from . import gf2
 from .gf2 import BitMatrix, GF2Error
 
@@ -60,6 +62,7 @@ class GaloisField:
             raise GF2Error(f"polynomial {primitive_poly:#b} is not primitive for m={m}")
         for i in range(self.order, 2 * self.order):
             self.exp[i] = self.exp[i - self.order]
+        self.exp_array = np.array(self.exp[:self.order])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -112,13 +115,6 @@ def _polymul2(a: int, b: int) -> int:
     return out
 
 
-def _polymod2(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
 @dataclass(frozen=True)
 class ClassicalCode:
     """[n, k, d] binary linear block code with systematic matrices where possible."""
@@ -163,6 +159,19 @@ class ClassicalCode:
         return self.P.transpose()
 
     @cached_property
+    def odd_syndromes(self) -> list[int]:
+        """BCH syndrome table for ``bm_locate``: entry i packs alpha^(i j) for
+        j = 1, 3, ..., 2t-1 into m-bit fields, lowest j first, so a word's
+        odd syndromes are the XOR of the entries of its set bits."""
+        if self.kind != "bch" or self.gf is None:
+            raise GF2Error(f"BCH syndromes require a BCH code, got kind={self.kind!r}")
+        gf = self.gf
+        m, order = gf.m, gf.order
+        return [sum(gf.exp[i * j % order] << (f * m)
+                    for f, j in enumerate(range(1, 2 * self.design_t, 2)))
+                for i in range(self.n)]
+
+    @cached_property
     def standard_array(self) -> StandardArray:
         """Coset-leader table, built on first use and kept with this code."""
         return build_standard_array(self)
@@ -180,17 +189,16 @@ def _cyclic_systematic(n: int, genpoly: int, d: int, kind: str,
     """
     r = genpoly.bit_length() - 1
     k = n - r
-    g_rows = []
-    pt_rows = [0] * r  # row i of P^T accumulates bit i of each parity column
-    for j in range(k):
-        parity = _polymod2(1 << (r + j), genpoly)
-        g_rows.append(parity | (1 << (r + j)))
-        for i in range(r):
-            if (parity >> i) & 1:
-                pt_rows[i] |= 1 << j
-    G = BitMatrix(g_rows, n)
-    h_rows = [(1 << i) | (pt_rows[i] << r) for i in range(r)]
-    H = BitMatrix(h_rows, n)
+    parities = []
+    parity = genpoly ^ (1 << r)  # x^r mod g
+    for _ in range(k):
+        parities.append(parity)
+        parity <<= 1  # shift register: x^(r+j+1) mod g from x^(r+j) mod g
+        if parity >> r:
+            parity ^= genpoly
+    G = BitMatrix([p | (1 << (r + j)) for j, p in enumerate(parities)], n)
+    pt_rows = BitMatrix(parities, r).transpose().row_data
+    H = BitMatrix([(1 << i) | (pt_rows[i] << r) for i in range(r)], n)
     return ClassicalCode(n=n, k=k, d=d, G=G, H=H, kind=kind, gf=gf,
                          gen_poly=genpoly, design_t=design_t)
 
@@ -369,39 +377,32 @@ def build_standard_array(code: ClassicalCode, max_size: int = 1 << 24) -> Standa
 
 # -- Berlekamp-Massey decoding ---------------------------------------------
 
-def _bch_syndromes(code: ClassicalCode, received: int) -> list[int]:
-    gf = code.gf
-    t = code.design_t
-    syn = []
-    for j in range(1, 2 * t + 1):
-        s = 0
-        r = received
-        while r:
-            low = r & -r
-            i = low.bit_length() - 1
-            s ^= gf.pow_alpha(i * j)
-            r ^= low
-        syn.append(s)
-    return syn
-
-
-def bm_decode(code: ClassicalCode, received: BitMatrix) -> list[int] | None:
-    """Decode a received word of a BCH code to its error support.
+def bm_locate(code: ClassicalCode, word: int) -> list[int] | None:
+    """Error support of a received word of a BCH code, packed into an n-bit
+    int, in ascending order.
 
     Returns the error locations when a codeword lies within Hamming
     distance t, otherwise None.  A None return is the normal
     beyond-radius outcome, not a fault.
     """
-    if code.kind != "bch" or code.gf is None:
-        raise GF2Error(f"bm_decode requires a BCH code, got kind={code.kind!r}")
-    if received.rows != 1 or received.cols != code.n:
-        raise GF2Error(f"expected a 1x{code.n} word, got {received.rows}x{received.cols}")
+    table = code.odd_syndromes
     gf = code.gf
-    t = code.design_t
-    word = received.row_data[0]
-    syn = _bch_syndromes(code, word)
-    if not any(syn):
+    m, t, mask = gf.m, code.design_t, gf.order  # order = 2^m - 1, one field
+    packed = 0
+    w = word
+    while w:
+        low = w & -w
+        packed ^= table[low.bit_length() - 1]
+        w ^= low
+    if not packed:
         return []
+    syn = [0] * (2 * t)  # syn[j - 1] = S_j; S_2j = S_j^2 over GF(2)
+    for j in range(t):
+        syn[2 * j] = (packed >> (j * m)) & mask
+    exp, log = gf.exp, gf.log
+    for j in range(1, t + 1):
+        s = syn[j - 1]
+        syn[2 * j - 1] = exp[2 * log[s]] if s else 0
 
     # Berlekamp-Massey: error-locator polynomial sigma (low degree first)
     sigma = [1]
@@ -438,21 +439,29 @@ def bm_decode(code: ClassicalCode, received: BitMatrix) -> list[int] | None:
     deg = len(sigma) - 1
     if deg > t:
         return None
-
-    # Chien search: position i is an error iff sigma(alpha^{-i}) = 0
-    locations = []
-    for i in range(code.n):
-        acc = 0
-        for d, c in enumerate(sigma):
-            if c:
-                acc ^= gf.mul(c, gf.pow_alpha((-i * d) % gf.order))
-        if acc == 0:
-            locations.append(i)
+    locations = _chien_roots(gf, sigma, code.n)
     if len(locations) != deg:
         return None
-    corrected = word
     for i in locations:
-        corrected ^= 1 << i
-    if any(_bch_syndromes(code, corrected)):
-        return None
-    return locations
+        packed ^= table[i]
+    return None if packed else locations
+
+
+def _chien_roots(gf: GaloisField, sigma: list[int], n: int) -> list[int]:
+    """Positions i < n with sigma(alpha^-i) = 0, all n at once: the term
+    c_d alpha^(-i d) is exp[(log c_d - i d) mod (2^m - 1)]."""
+    d = np.array([j for j, c in enumerate(sigma) if c])
+    logs = np.array([gf.log[sigma[j]] for j in d.tolist()])
+    exps = (logs[:, None] - d[:, None] * np.arange(n)) % gf.order
+    values = np.bitwise_xor.reduce(gf.exp_array[exps], axis=0)
+    return np.flatnonzero(values == 0).tolist()
+
+
+def bm_decode(code: ClassicalCode, received: BitMatrix) -> list[int] | None:
+    """Decode a 1 x n received word of a BCH code to its error support
+    (``bm_locate`` after the argument checks)."""
+    if code.kind != "bch" or code.gf is None:
+        raise GF2Error(f"bm_decode requires a BCH code, got kind={code.kind!r}")
+    if received.rows != 1 or received.cols != code.n:
+        raise GF2Error(f"expected a 1x{code.n} word, got {received.rows}x{received.cols}")
+    return bm_locate(code, received.row_data[0])

@@ -159,17 +159,24 @@ class LocalizationResult:
 def _coset_leader_support(code: classical.ClassicalCode, syn: int) -> list[int] | None:
     """Support of the minimum-weight error with the given syndrome.
 
-    Uses Berlekamp-Massey for BCH codes (via the [syndrome | zeros]
+    Uses Berlekamp-Massey for BCH codes (on the [syndrome | zeros]
     received word, valid because H = [I | P^T]) and the standard array
     otherwise.  None means no explanation within the decoding radius.
     """
     if code.kind == "bch":
-        received = BitMatrix([syn], code.n)  # parity coordinates come first
-        return classical.bm_decode(code, received)
+        return classical.bm_locate(code, syn)  # parity coordinates come first
     leader = code.standard_array.leaders.get(syn)
     if leader is None:
         return None
     return gf2.support(BitMatrix([leader], code.n))
+
+
+def _check_shape(pc: ProductCode, xi: ProductSyndrome, r: int) -> None:
+    """Xi of X errors has one row per row of H_Q and R columns."""
+    want = (pc.q.check_matrix("X").rows, r)
+    if (xi.matrix.rows, xi.matrix.cols) != want:
+        raise GF2Error(f"Xi is {xi.matrix.rows}x{xi.matrix.cols}, "
+                       f"the product code's is {want[0]}x{want[1]}")
 
 
 def localize_rows(pc: ProductCode, xi: ProductSyndrome) -> LocalizationResult:
@@ -180,6 +187,7 @@ def localize_rows(pc: ProductCode, xi: ProductSyndrome) -> LocalizationResult:
     """
     if pc.hc_mode != "full":
         raise GF2Error("localize_rows requires full-H mode; use localize_bm for P^T mode")
+    _check_shape(pc, xi, pc.R)
     supports = []
     for i in range(xi.matrix.rows):
         supp = _coset_leader_support(pc.c, xi.matrix.row_data[i])
@@ -207,17 +215,22 @@ def localize_bm(pc: ProductCode, xi_noisy: ProductSyndrome) -> LocalizationResul
     if pc.c.kind != "bch":
         raise GF2Error("localize_bm requires a BCH classical code")
     r = pc.R
+    _check_shape(pc, xi_noisy, r)
+    empty = frozenset()
     supports = []
     flips = []
-    for i in range(xi_noisy.matrix.rows):
-        received = BitMatrix([xi_noisy.matrix.row_data[i]], pc.c.n)
-        locs = classical.bm_decode(pc.c, received)
+    for i, row in enumerate(xi_noisy.matrix.row_data):
+        if not row:
+            supports.append(empty)
+            flips.append(empty)
+            continue
+        locs = classical.bm_locate(pc.c, row)  # the row with a zero message
         if locs is None:
             raise LocalizationError(
                 i, f"decoding budget wt(T) + |L| <= {pc.c.t} exceeded")
         supports.append(frozenset(p - r for p in locs if p >= r))
         flips.append(frozenset(p for p in locs if p < r))
-    union = frozenset().union(*supports) if supports else frozenset()
+    union = frozenset().union(*supports)
     return LocalizationResult(logical_indices=union,
                               per_row_supports=tuple(supports),
                               syndrome_flips=tuple(flips))

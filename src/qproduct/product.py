@@ -223,7 +223,9 @@ class LookupTable:
 
     Keys and values are the integer packings of ProductSyndrome.key and
     ErrorPattern.packed().  ``bk_index`` (decoder) and ``key_arrays`` (sim)
-    are built from ``entries`` on first use and are not rebuilt after it.
+    are built from ``entries`` on first use; assigning ``entries`` drops
+    them, and ``dataclasses.replace`` starts without them.  Edit a table
+    by assigning a new dict, not by changing ``entries`` in place.
     """
 
     pc: ProductCode
@@ -231,8 +233,14 @@ class LookupTable:
     key_bits: int
     entries: dict[int, int]
     max_cols: int = -1  # colwt cap the table was built with (-1: pc.t_c)
-    bk_index: object = field(default=None, repr=False, compare=False)
-    key_arrays: object = field(default=None, repr=False, compare=False)
+    bk_index: object = field(default=None, init=False, repr=False, compare=False)
+    key_arrays: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "entries":  # the indexes belong to the entries they came from
+            object.__setattr__(self, "bk_index", None)
+            object.__setattr__(self, "key_arrays", None)
+        object.__setattr__(self, name, value)
 
 
 def build_lookup_table(pc: ProductCode, error_type: str = "X",

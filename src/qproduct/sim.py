@@ -41,6 +41,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise GF2Error(f"shots must be >= 1, got {self.shots}")
+        if self.seed < 0:
+            raise GF2Error(f"seed must be >= 0, got {self.seed}")
         for name in ("p", "p_e"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise GF2Error(f"{name}={getattr(self, name)} outside [0, 1]")

@@ -1,9 +1,12 @@
 """Classical code constructors and decoders against brute-force oracles."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproduct import classical, gf2
 from qproduct.gf2 import BitMatrix, GF2Error
@@ -253,3 +256,137 @@ def test_shorten_and_custom():
 def test_custom_code_rank_deficient():
     with pytest.raises(GF2Error, match="rank"):
         classical.custom_code(BitMatrix.from_rows([[1, 1], [1, 1]]))
+
+
+# -- one BCH core: bm_locate against the scalar decoder it replaced ------------
+
+def reference_syndromes(code, word):
+    """S_1..S_2t of a packed word, one power of alpha per set bit and j."""
+    gf = code.gf
+    positions = [i for i in range(word.bit_length()) if (word >> i) & 1]
+    return [functools.reduce(lambda s, i: s ^ gf.pow_alpha(i * j), positions, 0)
+            for j in range(1, 2 * code.design_t + 1)]
+
+
+def reference_bm_decode(code, word):
+    """The decoder bm_locate replaced: per-position syndromes, the same
+    Berlekamp-Massey recursion, and a scalar Chien search."""
+    gf, t = code.gf, code.design_t
+    syn = reference_syndromes(code, word)
+    if not any(syn):
+        return []
+    sigma, prev, L, shift, b = [1], [1], 0, 1, 1
+    for idx in range(2 * t):
+        delta = syn[idx]
+        for j in range(1, L + 1):
+            if j < len(sigma):
+                delta ^= gf.mul(sigma[j], syn[idx - j])
+        if delta == 0:
+            shift += 1
+            continue
+        coef = gf.mul(delta, gf.inv(b))
+        candidate = sigma[:]
+        scaled = [gf.mul(coef, c) for c in prev]
+        candidate += [0] * max(0, len(scaled) + shift - len(candidate))
+        for j, c in enumerate(scaled):
+            candidate[j + shift] ^= c
+        if 2 * L <= idx:
+            prev, b, L, shift = sigma, delta, idx + 1 - L, 1
+        else:
+            shift += 1
+        sigma = candidate
+    while sigma and sigma[-1] == 0:
+        sigma.pop()
+    deg = len(sigma) - 1
+    if deg > t:
+        return None
+    locations = []
+    for i in range(code.n):
+        acc = 0
+        for d, c in enumerate(sigma):
+            if c:
+                acc ^= gf.mul(c, gf.pow_alpha((-i * d) % gf.order))
+        if acc == 0:
+            locations.append(i)
+    if len(locations) != deg:
+        return None
+    corrected = word ^ sum(1 << i for i in locations)
+    return None if any(reference_syndromes(code, corrected)) else locations
+
+
+@pytest.mark.parametrize("m,t", [(4, 2), (5, 3)])
+def test_bm_locate_matches_reference_on_every_light_word(m, t):
+    """Every word of weight <= t+1, inside and just beyond the radius."""
+    code = classical.bch(m, t)
+    for w in range(t + 2):
+        for supp in itertools.combinations(range(code.n), w):
+            word = sum(1 << i for i in supp)
+            assert classical.bm_locate(code, word) == reference_bm_decode(code, word), supp
+
+
+BIG_CODES = {127: classical.bch(7, 6), 1023: classical.bch(10, 11)}
+
+
+def random_codeword(code, rng):
+    return functools.reduce(lambda acc, row: acc ^ row,
+                            (row for row in code.G.row_data if rng.getrandbits(1)), 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from(sorted(BIG_CODES)), seed=st.integers(0, 2 ** 32),
+       within=st.booleans(), data=st.data())
+def test_bm_locate_matches_reference_at_paper_scale(n, seed, within, data):
+    """Random words, and codewords plus at most t errors, at n=127 and 1023."""
+    code = BIG_CODES[n]
+    rng = random.Random(seed)
+    if within:
+        errors = data.draw(st.sets(st.integers(0, n - 1), max_size=code.t))
+        word = random_codeword(code, rng) ^ sum(1 << i for i in errors)
+    else:
+        word = rng.getrandbits(n)
+    got = classical.bm_locate(code, word)
+    assert got == reference_bm_decode(code, word)
+    if within:
+        assert got == sorted(errors)
+    assert classical.bm_decode(code, BitMatrix([word], n)) == got
+
+
+def test_bm_locate_requires_bch():
+    with pytest.raises(GF2Error, match="BCH"):
+        classical.bm_locate(classical.golay23(), 1)
+
+
+# -- shift-register encoder against the polynomial-division construction -------
+
+def reference_cyclic_rows(n, genpoly):
+    """G and H rows of the systematic cyclic code, one division per row."""
+    def polymod2(a, g):
+        while a.bit_length() >= g.bit_length():
+            a ^= g << (a.bit_length() - g.bit_length())
+        return a
+    r = genpoly.bit_length() - 1
+    parities = [polymod2(1 << (r + j), genpoly) for j in range(n - r)]
+    g_rows = [p | (1 << (r + j)) for j, p in enumerate(parities)]
+    h_rows = [(1 << i) | (sum(((p >> i) & 1) << j for j, p in enumerate(parities)) << r)
+              for i in range(r)]
+    return g_rows, h_rows
+
+
+def test_cyclic_encoder_matches_polynomial_division():
+    """Every distinct BCH generator for m <= 8, paper-scale BCH codes, Golay."""
+    codes = [classical.golay23(), classical.bch(7, 6), classical.bch(9, 20),
+             classical.bch(10, 11)]
+    for m in range(2, 9):
+        gens = set()
+        for t in range(1, 1 << (m - 1)):
+            try:
+                code = classical.bch(m, t)
+            except GF2Error:
+                break
+            if code.gen_poly not in gens:
+                gens.add(code.gen_poly)
+                codes.append(code)
+    assert len(codes) > 60
+    for code in codes:
+        g_rows, h_rows = reference_cyclic_rows(code.n, code.gen_poly)
+        assert list(code.G.row_data) == g_rows and list(code.H.row_data) == h_rows, (code.n, code.k)

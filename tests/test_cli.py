@@ -138,6 +138,20 @@ def test_localize_rows_command(capsys, tmp_path):
     assert json.loads(out)["logical_indices"] == [4, 9, 14]
 
 
+@pytest.mark.parametrize("c,extra,text", [
+    ("bch:15:2pt", (), "1 10\n0000000001\n"),            # the code's Xi is 3 x 8
+    ("bch:15:2pt", (), "2 8\n00000001\n00000000\n"),
+    ("bch:15:3", ("--rows",), "2 10\n" + "0000000001\n" * 2),  # 3 x 10 here
+])
+def test_localize_rejects_a_wrong_shape(capsys, tmp_path, c, extra, text):
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_text(text)
+    code, out, err = run(capsys, "localize", "--c", c, "--q", "steane",
+                         "--xi", str(xi_path), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Xi is" in err
+
+
 def test_analyze_table1(capsys):
     code, out, _ = run(capsys, "analyze", "table1")
     assert code == 0
@@ -195,7 +209,10 @@ def test_simulate_command(capsys, tmp_path):
     ('{"c": "bch:15:3pt", "q": "steane", "p": 0.01, "shots": 20, "seed": 1,'
      ' "t_src": 1, "decode_mode": "min_distance", "syndrome_noise": true,'
      ' "p_e": 1.5}', "p_e=1.5 outside"),
-], ids=["no-shots", "truncated", "shots-string", "noise-int", "json-list", "p_e-above-1"])
+    ('{"c": "hamming3pt", "q": "rep3", "p": 0.01, "shots": 20, "seed": -1}',
+     "seed must be >= 0"),
+], ids=["no-shots", "truncated", "shots-string", "noise-int", "json-list", "p_e-above-1",
+        "negative-seed"])
 def test_simulate_bad_config_is_an_error_line(capsys, tmp_path, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

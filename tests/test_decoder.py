@@ -291,3 +291,51 @@ def test_localize_bm_mode_and_code_guards():
     pc = ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
     with pytest.raises(GF2Error, match="BCH"):
         decoder.localize_bm(pc, ProductSyndrome(BitMatrix([0] * 2, 3)))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 9), (3, 7), (2, 8), (4, 8), (1, 10)])
+def test_localize_bm_rejects_a_wrong_shape(rows, cols):
+    """Xi must have one row per stabilizer of H_Q and R columns (3 x 8 here)."""
+    pc = ProductCode(classical.bch(4, 2), quantum.steane(), hc_mode="pt")
+    assert (pc.q.hz.rows, pc.R) == (3, 8)
+    with pytest.raises(GF2Error, match=f"Xi is {rows}x{cols}.*3x8"):
+        decoder.localize_bm(pc, ProductSyndrome(BitMatrix([1] * rows, cols)))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 11), (2, 10), (1, 10)])
+def test_localize_rows_rejects_a_wrong_shape(rows, cols):
+    pc = full_instance()
+    assert (pc.q.hz.rows, pc.R) == (3, 10)
+    with pytest.raises(GF2Error, match=f"Xi is {rows}x{cols}.*3x10"):
+        decoder.localize_rows(pc, ProductSyndrome(BitMatrix([0] * rows, cols)))
+
+
+def test_localize_bm_builds_no_matrix_per_row(monkeypatch):
+    """One decode builds only the matrices of its one pc.R read, and runs a
+    Chien search for each nonzero row and none for an all-zero Xi."""
+    pc = ProductCode(classical.bch(7, 6), quantum.color17(), hc_mode="pt")
+    rng = random.Random(9)
+    rows = [1 << rng.randrange(pc.R) for _ in range(pc.q.hz.rows)]  # one flip per row
+    noisy = ProductSyndrome(BitMatrix(rows, pc.R))
+    zero = ProductSyndrome(BitMatrix([0] * len(rows), pc.R))
+    counts = {"built": 0, "chien": 0}
+    init, chien = BitMatrix.__init__, classical._chien_roots
+
+    def counting_init(self, *args):
+        counts["built"] += 1
+        init(self, *args)
+
+    def counting_chien(*args):
+        counts["chien"] += 1
+        return chien(*args)
+
+    monkeypatch.setattr(BitMatrix, "__init__", counting_init)
+    monkeypatch.setattr(classical, "_chien_roots", counting_chien)
+    pc.R
+    per_read = counts["built"]
+    for xi, searches in ((noisy, len(rows)), (zero, 0), (noisy, len(rows))):
+        counts.update(built=0, chien=0)
+        res = decoder.localize_bm(pc, xi)
+        assert counts == {"built": per_read, "chien": searches}
+        assert res.syndrome_flips == tuple(frozenset(gf2.support(BitMatrix([r], pc.R)))
+                                           for r in xi.matrix.row_data)

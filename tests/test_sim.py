@@ -1,5 +1,6 @@
 """Monte Carlo harness: interval math, sampling, and decode bookkeeping."""
 
+import dataclasses
 import math
 import random
 
@@ -26,6 +27,8 @@ def test_trial_config_validation():
         TrialConfig(pc=pc, p=0.1, shots=10, seed=1, decode_mode="magic")
     with pytest.raises(GF2Error, match="min_distance"):
         TrialConfig(pc=pc, p=0.1, shots=10, seed=1, syndrome_noise=True)
+    with pytest.raises(GF2Error, match="seed"):
+        TrialConfig(pc=pc, p=0.1, shots=10, seed=-1)
     for p_e in (1.5, -0.5, float("nan")):
         with pytest.raises(GF2Error, match="p_e="):
             TrialConfig(pc=pc, p=0.1, shots=10, seed=1, p_e=p_e,
@@ -412,3 +415,25 @@ def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
         # with a stored entry is a decode error
         assert calls["differs"] == (rep.breakdown["degenerate_hits"]
                                     + rep.breakdown["decode_errors"])
+
+
+@pytest.mark.parametrize("mode", ["lookup", "min_distance"])
+@pytest.mark.parametrize("route", ["assign", "replace"])
+def test_table_indexes_follow_the_entries(mode, route):
+    """A table emptied after a run decodes as a fresh empty table does:
+    neither the BK tree nor the sorted key arrays outlive their entries."""
+    pc = bch_steane()
+    table = product.build_lookup_table(pc, max_cols=pc.t_src if mode == "min_distance"
+                                       else pc.t_c)
+    cfg = TrialConfig(pc=pc, p=0.05, shots=2000, seed=1, decode_mode=mode)
+    sim.run_trials(cfg, table)
+    assert (table.bk_index if mode == "min_distance" else table.key_arrays) is not None
+    if route == "assign":
+        table.entries = {}
+    else:
+        table = dataclasses.replace(table, entries={})
+    fresh = product.LookupTable(pc=pc, error_type="X", key_bits=table.key_bits,
+                                entries={}, max_cols=table.max_cols)
+    report = sim.run_trials(cfg, table)
+    assert report == sim.run_trials(cfg, fresh)
+    assert report.breakdown["decode_errors"] > 1000
