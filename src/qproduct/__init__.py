@@ -9,7 +9,7 @@ from .gf2 import BitMatrix, GF2Error
 from .classical import ClassicalCode, GaloisField, StandardArray
 from .quantum import CosetTable, CssCode, PauliOp
 from .product import ErrorPattern, LookupTable, ProductCode, ProductSyndrome
-from .decoder import BKTree, DecodeResult, LocalizationResult
+from .decoder import BKTree, LocalizationResult
 from .analytics import ErrorModel, OverheadReport
 from .circuit import PauliFrame, SyndromeCircuit
 from .sim import TrialConfig, TrialReport
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMatrix", "GF2Error", "ClassicalCode", "GaloisField", "StandardArray",
     "CosetTable", "CssCode", "PauliOp", "ErrorPattern", "LookupTable",
-    "ProductCode", "ProductSyndrome", "BKTree", "DecodeResult",
-    "LocalizationResult", "ErrorModel", "OverheadReport", "PauliFrame",
-    "SyndromeCircuit", "TrialConfig", "TrialReport", "__version__",
+    "ProductCode", "ProductSyndrome", "BKTree", "LocalizationResult",
+    "ErrorModel", "OverheadReport", "PauliFrame", "SyndromeCircuit",
+    "TrialConfig", "TrialReport", "__version__",
 ]

@@ -156,7 +156,7 @@ class OverheadReport:
     L: int
     classical_id: str
     quantum_id: str
-    mode: str  # 'plain' | 'shor_ft' | 'canonical'
+    mode: str  # 'plain' | 'shor_ft'
     syndrome_qubits: int
     t_c: int = 0
     failure_prob: float = -1.0

@@ -160,14 +160,15 @@ def cmd_decode(args) -> int:
         raise GF2Error(f"syndrome has {len(args.syndrome)} bits, "
                        f"the table's keys have {table.key_bits}")
     key = gf2.bitstring_to_int(args.syndrome)
-    if args.min_distance:
-        result = decoder.min_distance_decode(table, key, args.radius)
-    else:
-        result = decoder.lookup_decode(table, key)
-    out = {"status": result.status, "distance": result.distance}
-    if result.status == "ok":
-        out["correction"] = gf2.int_to_bitstring(table.entries[result.matched_key],
-                                                 pc.q.n * pc.L)
+    radius = 0
+    if args.min_distance:  # default: the corruption budget t_C - t_src
+        radius = pc.t_c - pc.t_src if args.radius is None else args.radius
+        if radius < 0:
+            raise GF2Error(f"--radius must be >= 0, got {radius}")
+    status, distance, matched = decoder.nearest_key(table, key, radius)
+    out = {"status": status, "distance": distance}
+    if status == "ok":
+        out["correction"] = gf2.int_to_bitstring(table.entries[matched], pc.q.n * pc.L)
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -6,11 +6,11 @@ and logical-qubit localization from the rows of the product syndrome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import classical, gf2
 from .gf2 import BitMatrix, GF2Error
-from .product import ErrorPattern, LookupTable, ProductCode, ProductSyndrome
+from .product import LookupTable, ProductCode, ProductSyndrome
 
 
 class LocalizationError(GF2Error):
@@ -75,25 +75,10 @@ class BKTree:
         return out
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of a table decode: status is 'ok', 'not_found' or 'ambiguous'."""
-
-    status: str
-    pattern: ErrorPattern | None = None
-    distance: int = -1
-    matched_key: int = -1
-
-
-def ensure_index(table: LookupTable) -> BKTree:
-    if table.bk_index is None:
-        table.bk_index = BKTree(sorted(table.entries))
-    return table.bk_index
-
-
 def nearest_key(table: LookupTable, key: int, radius: int) -> tuple[str, int, int]:
-    """Packed decode core: (status, distance, matched key) of the unique
-    stored key nearest to ``key`` within the Hamming ``radius``.
+    """Table decode: (status, distance, matched key) of the unique stored
+    key nearest to ``key`` within the Hamming ``radius``; the correction is
+    ``table.entries[matched key]``.
 
     Status is 'ok', 'not_found' or 'ambiguous'; equal-distance ties are
     surfaced, never broken.  Keys are distinct, so an exact hit is the
@@ -103,7 +88,9 @@ def nearest_key(table: LookupTable, key: int, radius: int) -> tuple[str, int, in
         return "ok", 0, key
     if radius <= 0:
         return "not_found", -1, -1
-    matches = ensure_index(table).query(key, radius)
+    if table.bk_index is None:
+        table.bk_index = BKTree(sorted(table.entries))
+    matches = table.bk_index.query(key, radius)
     if not matches:
         return "not_found", -1, -1
     best = min(d for _, d in matches)
@@ -111,34 +98,6 @@ def nearest_key(table: LookupTable, key: int, radius: int) -> tuple[str, int, in
     if len(nearest) > 1:
         return "ambiguous", best, -1
     return "ok", best, nearest[0]
-
-
-def _decode_result(table: LookupTable, status: str, distance: int,
-                   matched_key: int) -> DecodeResult:
-    """The packed core's outcome with the stored correction as a pattern."""
-    if status != "ok":
-        return DecodeResult(status=status, distance=distance)
-    pattern = ErrorPattern.from_packed(table.entries[matched_key], table.pc.q.n,
-                                       table.pc.L, table.error_type)
-    return DecodeResult(status, pattern, distance, matched_key)
-
-
-def lookup_decode(table: LookupTable, key: int) -> DecodeResult:
-    """Exact-match decode; not-found is a normal outcome."""
-    return _decode_result(table, *nearest_key(table, key, 0))
-
-
-def min_distance_decode(table: LookupTable, key: int,
-                        max_radius: int | None = None) -> DecodeResult:
-    """Nearest-key decode of a possibly corrupted syndrome.
-
-    Returns the unique nearest key within ``max_radius`` (default
-    t_C - t_src, the corruption budget the key separation guarantees).
-    Equal-distance ties are surfaced as 'ambiguous', never broken.
-    """
-    if max_radius is None:
-        max_radius = table.pc.t_c - table.pc.t_src
-    return _decode_result(table, *nearest_key(table, key, max_radius))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ measured syndromes with a two-dimensional product code.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import classical, gf2, quantum
@@ -96,10 +98,6 @@ class ErrorPattern:
     def column_weights(self) -> list[int]:
         return self.matrix.transpose().row_weights()
 
-    def colwt(self) -> int:
-        """Number of logical qubits hit (nonzero columns)."""
-        return sum(1 for w in self.column_weights() if w)
-
     def packed(self) -> int:
         """vec() packing: bit L*n_q + q holds entry (q, L)."""
         return gf2.vec(self.matrix).row_data[0]
@@ -107,10 +105,6 @@ class ErrorPattern:
     @classmethod
     def from_packed(cls, value: int, n: int, L: int, error_type: str = "X") -> "ErrorPattern":
         return cls(gf2.unvec(BitMatrix([value], n * L), n, L), error_type)
-
-    def column(self, idx: int) -> int:
-        """Column idx as a packed n-bit integer."""
-        return self.matrix.transpose().row_data[idx]
 
 
 @dataclass(frozen=True)
@@ -147,6 +141,16 @@ class ProductSyndrome:
 def product_parity_check(pc: ProductCode, error_type: str = "X") -> BitMatrix:
     """H_C (x) H_Q for the requested error type."""
     return gf2.kron(pc.h_c, pc.q.check_matrix(error_type))
+
+
+def key_map(hq: BitMatrix, hc: BitMatrix) -> list[int]:
+    """Packed key of each vec bit l*n + q: column l of H_C placed at bits
+    [i*R, (i+1)*R) for every row i of H_Q that checks qubit q."""
+    r = hc.rows
+    # one bit at i*R per checking row; times a column < 2^R, these never carry
+    spread = [sum(1 << (i * r) for i in range(hq.rows) if (checks >> i) & 1)
+              for checks in hq.transpose().row_data]
+    return [col * s for col in hc.transpose().row_data for s in spread]
 
 
 def extract_syndrome(pc: ProductCode, e: ErrorPattern) -> ProductSyndrome:
@@ -222,17 +226,19 @@ class LookupTable:
     """Flattened product syndrome -> packed correction pattern.
 
     Keys and values are the integer packings of ProductSyndrome.key and
-    ErrorPattern.packed().  ``bk_index`` (decoder) and ``key_arrays`` (sim)
-    are built from ``entries`` on first use; assigning ``entries`` drops
-    them, and ``dataclasses.replace`` starts without them.  Edit a table
-    by assigning a new dict, not by changing ``entries`` in place.
+    ErrorPattern.packed().  Two indexes are built from ``entries`` on first
+    use: ``bk_index``, the BK tree ``decoder.nearest_key`` queries when a key
+    is not stored and the radius is positive, and ``key_arrays``, the sorted
+    key and value arrays lookup-mode ``sim.run_trials`` searches.  Assigning
+    ``entries`` drops both, and ``dataclasses.replace`` starts without them.
+    Edit a table by assigning a new dict, not by changing ``entries`` in place.
     """
 
     pc: ProductCode
     error_type: str
     key_bits: int
     entries: dict[int, int]
-    max_cols: int = -1  # colwt cap the table was built with (-1: pc.t_c)
+    max_cols: int = -1  # cap on columns hit the table was built with (-1: pc.t_c)
     bk_index: object = field(default=None, init=False, repr=False, compare=False)
     key_arrays: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -259,50 +265,32 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
     """
     if max_cols is None:
         max_cols = pc.t_c
+    if not 0 <= max_cols <= pc.t_c:
+        raise GF2Error(f"max_cols={max_cols} outside [0, t_c={pc.t_c}]")
     size = class_E_size(pc, max_cols)
     if size > TABLE_SIZE_GUARD:
         raise GF2Error(
             f"lookup table would hold {size} entries (limit {TABLE_SIZE_GUARD})"
         )
-    q = pc.q
-    n = q.n
-    span = q.stabilizer_span(error_type)
+    n = pc.q.n
+    span = pc.q.stabilizer_span(error_type)
     hc = pc.h_c
-    r = hc.rows
-    hc_cols = hc.transpose().row_data
-    col_syn = q.check_matrix(error_type).transpose().row_data
-
-    # per-column patterns of weight 1..t_q with their key contribution factor
-    col_patterns: list[tuple[int, int]] = []  # (pattern bits, quantum syndrome)
-    for w in range(1, pc.t_q + 1):
-        for supp in itertools.combinations(range(n), w):
-            pat = syn = 0
-            for i in supp:
-                pat |= 1 << i
-                syn ^= col_syn[i]
-            col_patterns.append((pat, syn))
-
-    def key_contrib(ell: int, qsyn: int) -> int:
-        acc = 0
-        s = qsyn
-        while s:
-            low = s & -s
-            acc |= hc_cols[ell] << ((low.bit_length() - 1) * r)
-            s ^= low
-        return acc
-
-    contribs = [[key_contrib(ell, syn) for _, syn in col_patterns]
-                for ell in range(hc.cols)]
+    bit_keys = key_map(pc.q.check_matrix(error_type), hc)
+    # per-column patterns of weight 1..t_q, and each one's key in every column
+    supports = [supp for w in range(1, pc.t_q + 1)
+                for supp in itertools.combinations(range(n), w)]
+    patterns = [sum(1 << i for i in supp) for supp in supports]
+    contribs = [[functools.reduce(operator.xor, (bit_keys[ell * n + i] for i in supp))
+                 for supp in supports] for ell in range(hc.cols)]
 
     entries: dict[int, int] = {0: 0}
-    npat = len(col_patterns)
     for c in range(1, max_cols + 1):
         for cols in itertools.combinations(range(hc.cols), c):
-            for choice in itertools.product(range(npat), repeat=c):
+            for choice in itertools.product(range(len(patterns)), repeat=c):
                 packed = 0
                 key = 0
                 for ell, pi in zip(cols, choice):
-                    packed |= col_patterns[pi][0] << (ell * n)
+                    packed |= patterns[pi] << (ell * n)
                     key ^= contribs[ell][pi]
                 if key in entries:
                     other = entries[key]
@@ -317,12 +305,6 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
     return LookupTable(pc=pc, error_type=error_type,
                        key_bits=pc.key_bits(error_type), entries=entries,
                        max_cols=max_cols)
-
-
-def stabilizer_equivalent(pc: ProductCode, a: ErrorPattern, b: ErrorPattern) -> bool:
-    """True when a and b differ column-wise by quantum stabilizer elements."""
-    return quantum.differs_by_stabilizers(a.packed() ^ b.packed(), pc.q.n,
-                                          pc.q.stabilizer_span(a.error_type))
 
 
 # -- lookup-table file format ----------------------------------------------

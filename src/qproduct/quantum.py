@@ -236,10 +236,6 @@ class CosetTable:
     entries: dict[int, list[int]]
     row_reduced: bool = False
 
-    @property
-    def num_patterns(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
     def representative(self, key: int) -> int:
         return self.entries[key][0]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analytics, decoder, quantum
 from .gf2 import BitMatrix, GF2Error
-from .product import LookupTable, ProductCode, build_lookup_table
+from .product import LookupTable, ProductCode, build_lookup_table, key_map
 
 BATCH = 1 << 15
 
@@ -93,13 +93,11 @@ _BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1  # [i, v]: bit i of b
 _POP8 = _BYTE_BITS.sum(axis=0)
 
 
-def _key_tables(hq: BitMatrix, hc: BitMatrix) -> np.ndarray:
-    """(bytes, 256) tables: [j, v] is the packed key of the bits set in value v
-    of byte j of vec(eps), where vec bit l*n + q sets key bit i*R + r exactly
-    when H_Q[i, q] and H_C[r, l] are both 1 (stabilizer-major key packing)."""
-    m = np.einsum("iq,rl->lqir", hq.to_numpy(), hc.to_numpy()).reshape(-1, hq.rows * hc.rows)
-    bit_keys = np.concatenate((_pack(m), np.zeros(-len(m) % 8, dtype=np.int64)))  # whole bytes
-    return np.bitwise_xor.reduce(bit_keys.reshape(-1, 8, 1) * _BYTE_BITS, axis=1)
+def _key_tables(bit_keys: list[int]) -> np.ndarray:
+    """(bytes, 256) tables: [j, v] is the packed key of the vec bits set in
+    value v of byte j, from ``product.key_map``'s key of each vec bit."""
+    keys = np.array(bit_keys + [0] * (-len(bit_keys) % 8), dtype=np.int64)  # whole bytes
+    return np.bitwise_xor.reduce(keys.reshape(-1, 8, 1) * _BYTE_BITS, axis=1)
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -126,7 +124,7 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
     if n * L > 62 or table.key_bits > 62:
         raise GF2Error("simulation fast path limited to 62-bit patterns/keys")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    key_tables = _key_tables(hq, hc)
+    key_tables = _key_tables(key_map(hq, hc))
     span = pc.q.stabilizer_span(cfg.error_type)
     radius = pc.t_c - pc.t_src
     noise_probs = _noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None

@@ -124,6 +124,17 @@ def test_decode_min_distance_flag(capsys, tmp_path):
     assert result["status"] == "ok" and result["distance"] == 2
 
 
+@pytest.mark.parametrize("max_cols", ["2", "-2"])
+def test_build_table_rejects_max_cols_outside_budget(capsys, tmp_path, max_cols):
+    path = tmp_path / "t.lut"
+    code, out, err = run(capsys, "product", "build-table", "--c", "bch:15:3pt",
+                         "--q", "steane", "--tc", "1", "--max-cols", max_cols,
+                         "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "max_cols" in err
+    assert not path.exists()
+
+
 def test_localize_rows_command(capsys, tmp_path):
     pc = product.ProductCode(classical.bch(4, 3), quantum.steane())
     cols = [0] * pc.L
@@ -298,3 +309,14 @@ def test_decode_rejects_wrong_syndrome_length(capsys, desk_table):
     code, out, err = _decode_desk(capsys, desk_table, syndrome="0" * 10)
     assert code == 1 and err.startswith("error:") and out == ""
     assert "10 bits" in err
+
+
+@pytest.mark.parametrize("radius", ["-1", "-3"])
+def test_decode_rejects_negative_radius(capsys, desk_table, radius):
+    """Key 0 is stored, so only the radius can make this decode fail."""
+    code, out, _ = _decode_desk(capsys, desk_table, "--c", "hamming3pt", "--min-distance")
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out, err = _decode_desk(capsys, desk_table, "--c", "hamming3pt",
+                                  "--min-distance", "--radius", radius)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--radius" in err

@@ -66,11 +66,11 @@ def test_lookup_decode_roundtrip_and_miss():
     pc, table = desk_table()
     e = pattern(pc, 1 << 1)
     key = product.extract_syndrome(pc, e).key
-    res = decoder.lookup_decode(table, key)
-    assert res.status == "ok" and res.pattern.packed() == e.packed()
-    assert res.distance == 0 and res.matched_key == key
+    status, distance, matched = decoder.nearest_key(table, key, 0)
+    assert status == "ok" and table.entries[matched] == e.packed()
+    assert distance == 0 and matched == key
     absent = next(k for k in range(1 << 6) if k not in table.entries)
-    assert decoder.lookup_decode(table, absent).status == "not_found"
+    assert decoder.nearest_key(table, absent, 0)[0] == "not_found"
 
 
 def noisy_table():
@@ -84,33 +84,31 @@ def test_min_distance_decode_exact_and_corrupted():
     assert len(table.entries) == 36
     keys = sorted(table.entries)
     bits = table.key_bits
+    radius = pc.t_c - pc.t_src
     for key in keys:
-        res = decoder.min_distance_decode(table, key)
-        assert res.status == "ok" and res.matched_key == key and res.distance == 0
+        assert decoder.nearest_key(table, key, radius) == ("ok", 0, key)
     # every 1-bit and a stride of 2-bit corruptions return the true key
     for key in keys[::5]:
         for i in range(bits):
-            res = decoder.min_distance_decode(table, key ^ (1 << i))
-            assert res.status == "ok" and res.matched_key == key
+            status, _, matched = decoder.nearest_key(table, key ^ (1 << i), radius)
+            assert status == "ok" and matched == key
         for i, j in itertools.combinations(range(bits), 2):
-            res = decoder.min_distance_decode(table, key ^ (1 << i) ^ (1 << j))
-            assert res.status == "ok" and res.matched_key == key
-            assert res.distance == 2
+            corrupted = key ^ (1 << i) ^ (1 << j)
+            assert decoder.nearest_key(table, corrupted, radius) == ("ok", 2, key)
 
 
 def test_min_distance_decode_not_found():
     pc, table = noisy_table()
     far = (1 << table.key_bits) - 1  # all-ones is nowhere near a sparse key
-    assert decoder.min_distance_decode(table, far).status == "not_found"
+    assert decoder.nearest_key(table, far, pc.t_c - pc.t_src)[0] == "not_found"
 
 
 def test_min_distance_decode_ambiguous_tie():
     pc, _ = desk_table()
     table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
                                 entries={0b0011: 1, 0b0101: 2})
-    res = decoder.min_distance_decode(table, 0b0001, max_radius=1)
-    assert res.status == "ambiguous" and res.distance == 1
-    assert res.pattern is None
+    # a tie names no key, so there is no correction to read
+    assert decoder.nearest_key(table, 0b0001, 1) == ("ambiguous", 1, -1)
 
 
 def test_min_distance_default_radius_is_corruption_budget():
@@ -122,8 +120,8 @@ def test_min_distance_default_radius_is_corruption_budget():
     for i in flips:
         corrupted ^= 1 << i
     # three flips exceed the default budget of two
-    res = decoder.min_distance_decode(table, corrupted)
-    assert res.status in ("not_found", "ambiguous") or res.distance <= 2
+    status, distance, _ = decoder.nearest_key(table, corrupted, pc.t_c - pc.t_src)
+    assert status in ("not_found", "ambiguous") or distance <= 2
 
 
 def brute_nearest(entries, keys, radius):

@@ -1,12 +1,13 @@
-"""Artifacts pinned to their sha256 digests: tables and simulate reports
-must stay byte-identical across refactors of the code that produces them."""
+"""Artifacts pinned to their sha256 digests: tables, simulate reports and
+decode output must stay byte-identical across refactors of the code that
+produces them."""
 
 import hashlib
 import json
 
 import pytest
 
-from qproduct import cli
+from qproduct import cli, gf2
 
 TABLES = [
     (["--c", "hamming3pt", "--q", "rep3"],
@@ -48,3 +49,36 @@ def test_simulate_report_digest(capsys, tmp_path, config, digest):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out) == digest
+
+
+DESK = ["--c", "hamming3pt", "--q", "rep3"]
+NOISY = ["--c", "bch:15:3pt", "--q", "steane", "--tsrc", "1"]
+# 0-3-bit flips XORed onto every stored key of the NOISY table; its keys are
+# 5 apart, so at the default radius 2 a flip gives 'ok' or 'not_found' (and
+# 1<<0|1<<7|1<<9 moves four keys within 2 of another); the desk table's
+# nearest-key pass supplies 'ambiguous'
+FLIPS = [0, 1 << 0, 1 << 17, 1 << 29, 0b11, 0b101 << 5, 1 << 4 | 1 << 25,
+         1 << 0 | 1 << 7 | 1 << 9, 0b111 << 20, 1 << 2 | 1 << 12 | 1 << 22]
+DECODE_DIGEST = "23fb6dc098ad81158d14082d7af3125770c28048a00426010375f0f670e2ab21"
+
+
+def test_decode_output_digest(capsys, tmp_path):
+    """stdout of exact and nearest-key decodes of every desk syndrome, then of
+    nearest-key decodes of each stored NOISY key under each of FLIPS."""
+    desk, noisy = tmp_path / "desk.lut", tmp_path / "noisy.lut"
+    assert cli.main(["product", "build-table", *DESK, "--out", str(desk)]) == 0
+    assert cli.main(["product", "build-table", *NOISY, "--max-cols", "1",
+                     "--out", str(noisy)]) == 0
+    stored = [int(line.split()[0], 16) for line in noisy.read_text().splitlines()[1:]]
+    capsys.readouterr()
+    runs = [(DESK, desk, key, 6, flags) for flags in ([], ["--min-distance"])
+            for key in range(64)]
+    runs += [(NOISY, noisy, key ^ flip, 30, ["--min-distance"])
+             for key in stored for flip in FLIPS]
+    for code, path, key, bits, flags in runs:
+        assert cli.main(["decode", *code, "--table", str(path), *flags,
+                         "--syndrome", gf2.int_to_bitstring(key, bits)]) == 0
+    out = capsys.readouterr().out
+    statuses = {json.loads(line)["status"] for line in out.splitlines()}
+    assert statuses == {"ok", "ambiguous", "not_found"}
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == DECODE_DIGEST

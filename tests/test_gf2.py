@@ -279,5 +279,5 @@ def test_reshapes_match_per_bit_reference(case):
         [[m.get(i, p) for p in perm] for i in range(m.rows)], m.cols)
     ref_cols = [sum(m.get(i, j) << i for i in range(m.rows)) for j in range(m.cols)]
     e = product.ErrorPattern(m)
-    assert [e.column(j) for j in range(m.cols)] == ref_cols
+    assert list(e.matrix.transpose().row_data) == ref_cols
     assert product._pattern_from_columns(ref_cols, m.rows, "X") == e

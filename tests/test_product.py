@@ -76,6 +76,53 @@ def test_syndrome_key_layout_and_roundtrip():
     assert back.matrix == xi.matrix
 
 
+KEY_MAP_CODES = {  # the desk, bch:15:3 x steane, rep:5 x color17, hamming:3 x steane pairs
+    "hamming3-rep3": (lambda: classical.hamming(3), quantum.rep3),
+    "bch15-steane": (lambda: classical.bch(4, 3), quantum.steane),
+    "rep5-color17": (lambda: classical.repetition(5), quantum.color17),
+    "hamming3-steane": (lambda: classical.hamming(3), quantum.steane),
+}
+
+
+@pytest.mark.parametrize("error_type", ["X", "Z"])
+@pytest.mark.parametrize("hc_mode", ["full", "pt"])
+@pytest.mark.parametrize("codes", KEY_MAP_CODES.values(), ids=list(KEY_MAP_CODES))
+def test_key_map_matches_extract_syndrome(codes, hc_mode, error_type):
+    """Each vec bit's entry, and the XOR of the entries of random patterns,
+    is extract_syndrome's key for that pattern."""
+    make_c, make_q = codes
+    pc = ProductCode(make_c(), make_q(), hc_mode=hc_mode)
+    bit_keys = product.key_map(pc.q.check_matrix(error_type), pc.h_c)
+    assert len(bit_keys) == pc.N
+
+    def key(bits):
+        e = ErrorPattern.from_packed(bits, pc.q.n, pc.L, error_type)
+        return product.extract_syndrome(pc, e).key
+
+    assert bit_keys == [key(1 << bit) for bit in range(pc.N)]
+    rng = random.Random(pc.N)
+    for _ in range(50):
+        bits = rng.getrandbits(pc.N)
+        want = 0
+        for bit in range(pc.N):
+            if (bits >> bit) & 1:
+                want ^= bit_keys[bit]
+        assert want == key(bits)
+
+
+def test_key_map_wide_keys():
+    """bch(7,6) P^T x color17: 336-bit keys, past any int64 packing."""
+    pc = ProductCode(classical.bch(7, 6), quantum.color17(), hc_mode="pt")
+    assert pc.key_bits("X") == 336
+    bit_keys = product.key_map(pc.q.check_matrix("X"), pc.h_c)
+    assert len(bit_keys) == pc.N == 1445
+    bits = random.Random(85).sample(range(pc.N), 100)
+    for bit in bits:
+        e = ErrorPattern.from_packed(1 << bit, pc.q.n, pc.L)
+        assert bit_keys[bit] == product.extract_syndrome(pc, e).key
+    assert max(bit_keys).bit_length() > 300
+
+
 def test_class_membership():
     pc = desk_instance()
     assert product.in_class_E(pc, pattern(pc, 0))
@@ -91,8 +138,8 @@ def test_column_helpers():
     pc = desk_instance()
     e = pattern(pc, 0b101 << 3)  # qubits 4 and 6 (column 1)
     assert e.column_weights() == [0, 2, 0, 0]
-    assert e.colwt() == 1
-    assert e.column(1) == 0b101
+    assert sum(1 for w in e.column_weights() if w) == 1
+    assert e.matrix.transpose().row_data[1] == 0b101
     assert ErrorPattern.from_packed(e.packed(), 3, 4).matrix == e.matrix
 
 
@@ -169,6 +216,14 @@ def test_lookup_table_max_cols_cap():
     assert table.max_cols == 1
 
 
+@pytest.mark.parametrize("max_cols", [-2, -1, 2])
+def test_lookup_table_max_cols_outside_column_budget(max_cols):
+    """The table file loader's rule: 0 <= max_cols <= t_C."""
+    pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt", t_c=1)
+    with pytest.raises(GF2Error, match="max_cols"):
+        product.build_lookup_table(pc, max_cols=max_cols)
+
+
 def test_lookup_table_conflict_aborts():
     # pushing t_Q past the Steane radius mixes X7 with X1X2
     pc = ProductCode(classical.bch(4, 3), quantum.steane(), t_c=1, t_q=2)
@@ -212,8 +267,9 @@ def test_stabilizer_equivalent():
     b = pattern(pc, 0b0110010)           # X2 X5 X6 ... build from stabilizer
     s = pc.q.hx.row_data[0]              # X1 X4 X6 X7
     b = pattern(pc, a.packed() ^ s)
-    assert product.stabilizer_equivalent(pc, a, b)
-    assert not product.stabilizer_equivalent(pc, a, pattern(pc, a.packed() ^ 1))
+    span = pc.q.stabilizer_span("X")
+    assert quantum.differs_by_stabilizers(a.packed() ^ b.packed(), pc.q.n, span)
+    assert not quantum.differs_by_stabilizers(1, pc.q.n, span)
 
 
 # -- channel coding ----------------------------------------------------------

@@ -70,7 +70,7 @@ def test_key_tables_match_extract_syndrome():
     patterns read through the byte tables, is extract_syndrome's key."""
     rng = random.Random(8)
     for pc in (desk_instance(), bch_steane(), color17_rep5(), steane_hamming_full()):
-        tables = sim._key_tables(pc.q.check_matrix("X"), pc.h_c)
+        tables = sim._key_tables(product.key_map(pc.q.check_matrix("X"), pc.h_c))
         assert tables.shape == (-(-pc.N // 8), 256)
         assert not tables[:, 0].any()
         for bit in range(pc.N):
@@ -279,9 +279,9 @@ def reference_run_trials(cfg, table):
                     failures += 1
                     breakdown["noise_over_budget"] += 1
                     continue
-                result = decoder.min_distance_decode(table, key ^ flip, radius)
-                stored = entries[result.matched_key] if result.status == "ok" else None
-                if result.status == "ambiguous":
+                status, _, matched = decoder.nearest_key(table, key ^ flip, radius)
+                stored = entries[matched] if status == "ok" else None
+                if status == "ambiguous":
                     cause = "ambiguities"
             if stored == truth:
                 continue
@@ -385,6 +385,33 @@ def test_min_distance_cost_does_not_grow_with_shots(monkeypatch):
         assert counts["from_packed"] == 0
         reads.append(counts["h_c"])
     assert reads[0] == reads[1]
+
+
+@pytest.mark.parametrize("make,max_cols,build_reads,cfg", [
+    (desk_instance, None, 4, {}),
+    (bch_steane, None, 6, {}),
+    (bch_steane, 1, 4, {"decode_mode": "min_distance", "syndrome_noise": True, "p_e": 1e-2}),
+])
+def test_h_c_reads_per_call(monkeypatch, make, max_cols, build_reads, cfg):
+    """In pt mode each ProductCode.h_c read rebuilds P^T: a table build reads
+    it at most build_reads times and a run_trials call given a table twice."""
+    pc = make()
+    reads = [0]
+    h_c = ProductCode.h_c.fget
+
+    def counting_h_c(self):
+        reads[0] += 1
+        return h_c(self)
+
+    monkeypatch.setattr(ProductCode, "h_c", property(counting_h_c))
+    table = product.build_lookup_table(pc, max_cols=max_cols)
+    assert reads[0] <= build_reads
+    reads[0] = 0
+    sim.run_trials(TrialConfig(pc=pc, p=0.01, shots=3000, seed=3, **cfg), table)
+    assert reads[0] <= 2
+    reads[0] = 0
+    sim.run_trials(TrialConfig(pc=pc, p=0.01, shots=3000, seed=3, **cfg))
+    assert reads[0] <= build_reads + 2
 
 
 def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
