@@ -51,33 +51,19 @@ def binomial_tail(p: float, n: int, t: int) -> float:
     return math.fsum(math.comb(n, tau) * p ** tau * (1.0 - p) ** (n - tau) for tau in taus)
 
 
-def p_col_exceeds(p: float, n: int, t: int) -> float:
-    """Probability a single logical qubit takes more than t errors."""
-    return binomial_tail(p, n, t)
-
-
-def p_col_exceeds_distance(p: float, n: int, d: int) -> float:
-    """Probability a single logical qubit reaches weight >= d (undetectable)."""
-    return binomial_tail(p, n, d - 1)
-
-
 def p_logical(p: float, n: int) -> float:
     """Probability of at least one error among a logical qubit's n qubits."""
     return 1.0 - (1.0 - p) ** n
 
 
-def p_block_exceeds(p_l: float, L: int, t_c: int) -> float:
-    """Probability more than t_C of L logical qubits see any error."""
-    return binomial_tail(p_l, L, t_c)
-
-
 def _column_tail(p: float, n: int, t: int, d: int, mode: str) -> float:
-    """Per-column over-budget probability: weight > t in 'correct' mode,
-    weight >= d in 'localize' mode (heavier columns are still detected)."""
+    """Per-column over-budget probability of a logical qubit's n qubits:
+    P(wt > t) in 'correct' mode, P(wt >= d) in 'localize' mode (heavier
+    columns are still detected, lighter ones undetectable)."""
     if mode == "correct":
-        return p_col_exceeds(p, n, t)
+        return binomial_tail(p, n, t)
     if mode == "localize":
-        return p_col_exceeds_distance(p, n, d)
+        return binomial_tail(p, n, d - 1)
     raise GF2Error(f"mode must be 'correct' or 'localize', got {mode!r}")
 
 
@@ -93,7 +79,7 @@ def failure_probability(model: ErrorModel | float, pc: ProductCode,
     n = pc.q.n
     L = pc.L  # each read rebuilds P^T
     p1 = _column_tail(p, n, pc.t_q, pc.q.d, mode)
-    p2 = p_block_exceeds(p_logical(p, n), L, pc.t_c)
+    p2 = binomial_tail(p_logical(p, n), L, pc.t_c)
     return L * p1 + p2 - L * p1 * p2
 
 
@@ -112,8 +98,8 @@ def table1_values() -> dict[tuple[str, float], tuple[float, float]]:
     out = {}
     for label, n, t, d in TABLE1_CODES:
         for p in TABLE1_PROBS:
-            out[(label, p)] = (floor_eps(p_col_exceeds(p, n, t)),
-                               floor_eps(p_col_exceeds_distance(p, n, d)))
+            out[(label, p)] = (floor_eps(binomial_tail(p, n, t)),
+                               floor_eps(binomial_tail(p, n, d - 1)))
     return out
 
 
@@ -144,7 +130,7 @@ def choose_bch(L: int, p: float, q: CssCode, mode: str = "correct") -> Classical
     budget = L * _column_tail(p, q.n, q.t, q.d, mode)
     p_l = p_logical(p, q.n)
     for t_c in range(1, (L - 1) // 2 + 1):
-        if p_block_exceeds(p_l, L, t_c) <= budget:
+        if binomial_tail(p_l, L, t_c) <= budget:
             return classical.bch(m, t_c)
     raise GF2Error(f"no feasible t_C <= {(L - 1) // 2} for L={L}, p={p}")
 

@@ -384,6 +384,16 @@ def bm_locate(code: ClassicalCode, word: int) -> list[int] | None:
     Returns the error locations when a codeword lies within Hamming
     distance t, otherwise None.  A None return is the normal
     beyond-radius outcome, not a fault.
+
+    The register length L of the Berlekamp-Massey LFSR sigma decides
+    this without re-checking the corrected word (Massey, IEEE Trans. IT
+    1969).  If word + error is a codeword with e <= t errors, their
+    locator has length e and generates S_1..S_2t; the shortest LFSR is
+    unique when 2L <= 2t, so L = deg sigma = e.  Conversely, if
+    L = deg sigma <= t and sigma has deg distinct roots X_l, then
+    S_j = sum Y_l X_l^j; S_2j = S_j^2 gives a Vandermonde system in the
+    X_l^2 that forces every Y_l into {0, 1}, and the minimality of L
+    rules out 0, so flipping the deg roots leaves a codeword.
     """
     table = code.odd_syndromes
     gf = code.gf
@@ -437,14 +447,10 @@ def bm_locate(code: ClassicalCode, word: int) -> list[int] | None:
     while sigma and sigma[-1] == 0:
         sigma.pop()
     deg = len(sigma) - 1
-    if deg > t:
+    if deg > t or L != deg:
         return None
     locations = _chien_roots(gf, sigma, code.n)
-    if len(locations) != deg:
-        return None
-    for i in locations:
-        packed ^= table[i]
-    return None if packed else locations
+    return locations if len(locations) == deg else None
 
 
 def _chien_roots(gf: GaloisField, sigma: list[int], n: int) -> list[int]:

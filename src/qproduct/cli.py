@@ -177,8 +177,7 @@ def cmd_localize(args) -> int:
     pc = _product_from_args(args)
     with open(args.xi, encoding="ascii") as fh:
         xi = product.ProductSyndrome(gf2.from_text(fh.read()))
-    res = (decoder.localize_rows(pc, xi) if args.rows
-           else decoder.localize_bm(pc, xi))
+    res = decoder.localize_bm(pc, xi)
     out = {
         "logical_indices": sorted(res.logical_indices),
         "per_row_supports": [sorted(s) for s in res.per_row_supports],
@@ -338,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc = sub.add_parser("localize", parents=[code_args],
                            help="locate logical qubits with errors")
     p_loc.add_argument("--xi", required=True, help="product syndrome matrix file")
-    p_loc.add_argument("--rows", action="store_true",
-                       help="per-row decoding (full-H mode)")
     p_loc.set_defaults(func=cmd_localize)
 
     p_an = sub.add_parser("analyze", help="closed-form tables and curves")

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import classical, gf2
-from .gf2 import BitMatrix, GF2Error
+from . import classical
+from .gf2 import GF2Error
 from .product import LookupTable, ProductCode, ProductSyndrome
 
 
@@ -115,80 +115,48 @@ class LocalizationResult:
             raise GF2Error("logical index set must be the union of row supports")
 
 
-def _coset_leader_support(code: classical.ClassicalCode, syn: int) -> list[int] | None:
-    """Support of the minimum-weight error with the given syndrome.
+def localize_bm(pc: ProductCode, xi: ProductSyndrome) -> LocalizationResult:
+    """Locate the logical qubits with errors from the rows of Xi.
 
-    Uses Berlekamp-Massey for BCH codes (on the [syndrome | zeros]
-    received word, valid because H = [I | P^T]) and the standard array
-    otherwise.  None means no explanation within the decoding radius.
+    Row i of Xi is decoded as the received word [row | 0] of the classical
+    code, whose syndrome under H = [I | P^T] is the row itself: with
+    Berlekamp-Massey for BCH codes, with the standard array otherwise.
+    In full-H mode (H_C = H, L = n) every decoded position is a logical
+    index.  In P^T mode (H_C = P^T, L = k) a clean row is the parity part
+    m_i P of the codeword [m_i P | m_i], so positions p >= R are logical
+    indices p - R and positions below R are syndrome-bit flips (always
+    empty in full-H mode).  A row with no decode, or with more than t_C
+    logical positions, raises LocalizationError.
     """
-    if code.kind == "bch":
-        return classical.bm_locate(code, syn)  # parity coordinates come first
-    leader = code.standard_array.leaders.get(syn)
-    if leader is None:
-        return None
-    return gf2.support(BitMatrix([leader], code.n))
-
-
-def _check_shape(pc: ProductCode, xi: ProductSyndrome, r: int) -> None:
-    """Xi of X errors has one row per row of H_Q and R columns."""
+    r = pc.R
     want = (pc.q.check_matrix("X").rows, r)
     if (xi.matrix.rows, xi.matrix.cols) != want:
         raise GF2Error(f"Xi is {xi.matrix.rows}x{xi.matrix.cols}, "
                        f"the product code's is {want[0]}x{want[1]}")
-
-
-def localize_rows(pc: ProductCode, xi: ProductSyndrome) -> LocalizationResult:
-    """Decode each row of Xi with the classical code; union the supports.
-
-    Requires full-H mode, where row i of Xi is the classical syndrome of
-    row i of H_Q eps (a length-L word supported on the hit columns).
-    """
-    if pc.hc_mode != "full":
-        raise GF2Error("localize_rows requires full-H mode; use localize_bm for P^T mode")
-    _check_shape(pc, xi, pc.R)
-    supports = []
-    for i in range(xi.matrix.rows):
-        supp = _coset_leader_support(pc.c, xi.matrix.row_data[i])
-        if supp is None:
-            raise LocalizationError(i, "no coset leader within the decoding radius")
-        if len(supp) > pc.t_c:
-            raise LocalizationError(i, f"row weight {len(supp)} exceeds t_C={pc.t_c}")
-        supports.append(frozenset(supp))
-    union = frozenset().union(*supports) if supports else frozenset()
-    return LocalizationResult(logical_indices=union,
-                              per_row_supports=tuple(supports))
-
-
-def localize_bm(pc: ProductCode, xi_noisy: ProductSyndrome) -> LocalizationResult:
-    """Localization from noisy syndrome rows via Berlekamp-Massey.
-
-    P^T-mode only: row i of a clean Xi is the parity part m_i P of the
-    codeword [m_i P | m_i], so appending a zero message to the measured
-    row gives a word within distance wt(T_i) + |support(m_i)| of that
-    codeword.  Decoded error positions below R are syndrome-bit flips;
-    positions >= R map to logical indices p - R.
-    """
-    if pc.hc_mode != "pt":
-        raise GF2Error("localize_bm requires P^T mode")
-    if pc.c.kind != "bch":
-        raise GF2Error("localize_bm requires a BCH classical code")
-    r = pc.R
-    _check_shape(pc, xi_noisy, r)
+    code = pc.c
+    offset = r if pc.hc_mode == "pt" else 0
     empty = frozenset()
     supports = []
     flips = []
-    for i, row in enumerate(xi_noisy.matrix.row_data):
+    for i, row in enumerate(xi.matrix.row_data):
         if not row:
             supports.append(empty)
             flips.append(empty)
             continue
-        locs = classical.bm_locate(pc.c, row)  # the row with a zero message
+        if code.kind == "bch":
+            locs = classical.bm_locate(code, row)
+        else:  # the complete array is keyed by H-syndromes: [row | 0]'s in P^T mode
+            syn = row if not offset else sum(((h & row).bit_count() & 1) << j
+                                             for j, h in enumerate(code.H.row_data))
+            leader = code.standard_array.leaders[syn]
+            locs = [p for p in range(code.n) if leader >> p & 1]
         if locs is None:
-            raise LocalizationError(
-                i, f"decoding budget wt(T) + |L| <= {pc.c.t} exceeded")
-        supports.append(frozenset(p - r for p in locs if p >= r))
-        flips.append(frozenset(p for p in locs if p < r))
+            raise LocalizationError(i, f"no coset leader within the decoding radius t={code.t}")
+        logical = frozenset(p - offset for p in locs if p >= offset)
+        if len(logical) > pc.t_c:
+            raise LocalizationError(i, f"row weight {len(logical)} exceeds t_C={pc.t_c}")
+        supports.append(logical)
+        flips.append(frozenset(p for p in locs if p < offset))
     union = frozenset().union(*supports)
     return LocalizationResult(logical_indices=union,
                               per_row_supports=tuple(supports),

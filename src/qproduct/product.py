@@ -362,8 +362,8 @@ def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:
     for name, want in expected.items():
         if fields[name] != want:
             raise GF2Error(f"{path}: header {name}={fields[name]} does not match {want}")
-    if max_cols > pc.t_c:
-        raise GF2Error(f"{path}: mc={max_cols} exceeds t_c={pc.t_c}")
+    if not 0 <= max_cols <= pc.t_c:
+        raise GF2Error(f"{path}: mc={max_cols} outside [0, t_c={pc.t_c}]")
     return LookupTable(pc=pc, error_type=fields["type"],
                        key_bits=int(expected["key_bits"]), entries=entries,
                        max_cols=max_cols)

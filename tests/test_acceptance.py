@@ -155,7 +155,7 @@ def test_criterion_07_localization():
     cols = [0] * pc.L
     cols[4], cols[9], cols[14] = 0b10, 0b100001, 0b1001
     e = product._pattern_from_columns(cols, 7, "X")
-    res = decoder.localize_rows(pc, product.extract_syndrome(pc, e))
+    res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
     rows_ok = (res.logical_indices == frozenset({4, 9, 14})
                and res.per_row_supports == (frozenset(), frozenset({4, 14}),
                                             frozenset({9, 14})))

@@ -324,6 +324,15 @@ def test_bm_locate_matches_reference_on_every_light_word(m, t):
             assert classical.bm_locate(code, word) == reference_bm_decode(code, word), supp
 
 
+@pytest.mark.parametrize("m,t", [(3, 1), (4, 3)])
+def test_bm_locate_register_length_test_on_every_word(m, t):
+    """The L == deg sigma test decides every word as the corrected-word
+    syndrome re-check of the reference does."""
+    code = classical.bch(m, t)
+    for word in range(1 << code.n):
+        assert classical.bm_locate(code, word) == reference_bm_decode(code, word), word
+
+
 BIG_CODES = {127: classical.bch(7, 6), 1023: classical.bch(10, 11)}
 
 

@@ -136,6 +136,7 @@ def test_build_table_rejects_max_cols_outside_budget(capsys, tmp_path, max_cols)
 
 
 def test_localize_rows_command(capsys, tmp_path):
+    """A full-H code id alone selects row decoding from position 0."""
     pc = product.ProductCode(classical.bch(4, 3), quantum.steane())
     cols = [0] * pc.L
     cols[4], cols[9], cols[14] = 1, 1, 1
@@ -144,7 +145,7 @@ def test_localize_rows_command(capsys, tmp_path):
     xi_path = tmp_path / "xi.txt"
     xi_path.write_text(gf2.to_text(xi.matrix))
     code, out, _ = run(capsys, "localize", "--c", "bch:15:3", "--q", "steane",
-                       "--xi", str(xi_path), "--rows")
+                       "--xi", str(xi_path))
     assert code == 0
     assert json.loads(out)["logical_indices"] == [4, 9, 14]
 
@@ -152,7 +153,7 @@ def test_localize_rows_command(capsys, tmp_path):
 @pytest.mark.parametrize("c,extra,text", [
     ("bch:15:2pt", (), "1 10\n0000000001\n"),            # the code's Xi is 3 x 8
     ("bch:15:2pt", (), "2 8\n00000001\n00000000\n"),
-    ("bch:15:3", ("--rows",), "2 10\n" + "0000000001\n" * 2),  # 3 x 10 here
+    ("bch:15:3", (), "2 10\n" + "0000000001\n" * 2),  # 3 x 10 here
 ])
 def test_localize_rejects_a_wrong_shape(capsys, tmp_path, c, extra, text):
     xi_path = tmp_path / "xi.txt"
@@ -302,7 +303,14 @@ def test_decode_rejects_table_over_column_budget(capsys, desk_table):
     text = desk_table.read_text()
     desk_table.write_text(text.replace(" mc=1 ", " mc=2 ", 1))
     code, _, err = _decode_desk(capsys, desk_table)
-    assert code == 1 and "mc=2 exceeds t_c=1" in err
+    assert code == 1 and "mc=2 outside [0, t_c=1]" in err
+
+
+def test_decode_rejects_table_with_negative_column_budget(capsys, desk_table):
+    desk_table.write_text(desk_table.read_text().replace(" mc=1 ", " mc=-2 ", 1))
+    code, out, err = _decode_desk(capsys, desk_table)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "mc=-2 outside [0, t_c=1]" in err
 
 
 def test_decode_rejects_wrong_syndrome_length(capsys, desk_table):

@@ -186,7 +186,7 @@ def test_localize_rows_three_columns():
     cols[4], cols[9], cols[14] = 0b1, 0b11, 0b10  # weights 1, 2, 1 < d_Q
     e = product._pattern_from_columns(cols, 7, "X")
     xi = product.extract_syndrome(pc, e)
-    res = decoder.localize_rows(pc, xi)
+    res = decoder.localize_bm(pc, xi)
     assert res.logical_indices == frozenset({4, 9, 14})
     assert res.confidence == "exact"
     # each row's support must match the nonzero entries of H_Q eps
@@ -204,7 +204,7 @@ def test_localize_rows_exhaustive_single_column():
             cols = [0] * pc.L
             cols[ell] = col
             e = product._pattern_from_columns(cols, 7, "X")
-            res = decoder.localize_rows(pc, product.extract_syndrome(pc, e))
+            res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
             assert res.logical_indices <= frozenset({ell})
 
 
@@ -214,7 +214,7 @@ def test_localize_rows_weight_guard():
     cols[0] = cols[1] = 0b1  # two columns hit, t_c = 1
     e = product._pattern_from_columns(cols, 7, "X")
     with pytest.raises(LocalizationError, match="exceeds"):
-        decoder.localize_rows(pc, product.extract_syndrome(pc, e))
+        decoder.localize_bm(pc, product.extract_syndrome(pc, e))
 
 
 def test_localize_rows_uncovered_syndrome():
@@ -228,15 +228,20 @@ def test_localize_rows_uncovered_syndrome():
     bad = next(s for s in range(1 << code.r) if s not in covered)
     rows = [bad] + [0] * (pc.q.hz.rows - 1)
     with pytest.raises(LocalizationError, match="coset leader") as exc:
-        decoder.localize_rows(pc, ProductSyndrome(BitMatrix(rows, pc.R)))
+        decoder.localize_bm(pc, ProductSyndrome(BitMatrix(rows, pc.R)))
     assert exc.value.row == 0
 
 
-def test_localize_rows_requires_full_mode():
-    pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt")
-    xi = ProductSyndrome(BitMatrix([0] * 3, pc.R))
-    with pytest.raises(GF2Error, match="full-H"):
-        decoder.localize_rows(pc, xi)
+def test_localize_bm_full_mode():
+    """A full-H code goes through the one localizer: positions are logical
+    indices from 0 and no row reports a syndrome flip."""
+    pc = full_instance()
+    cols = [0] * pc.L
+    cols[0], cols[14] = 0b100, 0b1
+    res = decoder.localize_bm(pc, product.extract_syndrome(
+        pc, product._pattern_from_columns(cols, 7, "X")))
+    assert res.logical_indices == frozenset({0, 14})
+    assert res.syndrome_flips == (frozenset(),) * 3
 
 
 def test_localize_rows_standard_array_path():
@@ -245,7 +250,7 @@ def test_localize_rows_standard_array_path():
     cols = [0] * pc.L
     cols[3] = 0b1
     e = product._pattern_from_columns(cols, 3, "X")
-    res = decoder.localize_rows(pc, product.extract_syndrome(pc, e))
+    res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
     assert res.logical_indices == frozenset({3})
 
 
@@ -282,13 +287,35 @@ def test_localize_bm_with_syndrome_flips():
     assert res.syndrome_flips[2] == frozenset()
 
 
-def test_localize_bm_mode_and_code_guards():
-    with pytest.raises(GF2Error, match="P\\^T"):
-        decoder.localize_bm(full_instance(),
-                            ProductSyndrome(BitMatrix([0] * 3, 10)))
-    pc = ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
-    with pytest.raises(GF2Error, match="BCH"):
-        decoder.localize_bm(pc, ProductSyndrome(BitMatrix([0] * 2, 3)))
+@pytest.mark.parametrize("c,q", [(classical.hamming(3), quantum.rep3()),
+                                 (classical.repetition(5), quantum.steane())],
+                         ids=["hamming3pt-rep3", "rep5pt-steane"])
+def test_localize_bm_standard_array_pt_mode(c, q):
+    """Non-BCH P^T codes decode [row | 0] through the standard array (the
+    repetition code's H is not [I | P^T]): every single hit column and every
+    single syndrome flip is recovered."""
+    pc = ProductCode(c, q, hc_mode="pt")
+    n_q, stab = q.n, q.check_matrix("X")
+    for ell in range(pc.L):
+        for col in range(1, 1 << n_q):
+            if col.bit_count() > q.t:
+                continue
+            cols = [0] * pc.L
+            cols[ell] = col
+            e = product._pattern_from_columns(cols, n_q, "X")
+            res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
+            m = gf2.mul(stab, e.matrix)
+            hit = [m.get(i, ell) for i in range(stab.rows)]
+            assert res.per_row_supports == tuple(frozenset({ell} if h else ())
+                                                 for h in hit)
+            assert res.syndrome_flips == (frozenset(),) * stab.rows
+    for i in range(stab.rows):
+        for p in range(pc.R):
+            rows = [0] * stab.rows
+            rows[i] = 1 << p
+            res = decoder.localize_bm(pc, ProductSyndrome(BitMatrix(rows, pc.R)))
+            assert res.logical_indices == frozenset()
+            assert res.syndrome_flips[i] == frozenset({p})
 
 
 @pytest.mark.parametrize("rows,cols", [(3, 9), (3, 7), (2, 8), (4, 8), (1, 10)])
@@ -305,7 +332,87 @@ def test_localize_rows_rejects_a_wrong_shape(rows, cols):
     pc = full_instance()
     assert (pc.q.hz.rows, pc.R) == (3, 10)
     with pytest.raises(GF2Error, match=f"Xi is {rows}x{cols}.*3x10"):
-        decoder.localize_rows(pc, ProductSyndrome(BitMatrix([0] * rows, cols)))
+        decoder.localize_bm(pc, ProductSyndrome(BitMatrix([0] * rows, cols)))
+
+
+# The two localizers that localize_bm replaces, as they stood: full-H mode
+# decoded each row as a syndrome, P^T mode each row as a noisy parity part.
+
+def _reference_leader_support(code, syn):
+    if code.kind == "bch":
+        return classical.bm_locate(code, syn)
+    leader = code.standard_array.leaders.get(syn)
+    if leader is None:
+        return None
+    return gf2.support(BitMatrix([leader], code.n))
+
+
+def _reference_localize_rows(pc, xi):
+    supports = []
+    for i in range(xi.matrix.rows):
+        supp = _reference_leader_support(pc.c, xi.matrix.row_data[i])
+        if supp is None:
+            raise LocalizationError(i, "no coset leader within the decoding radius")
+        if len(supp) > pc.t_c:
+            raise LocalizationError(i, f"row weight {len(supp)} exceeds t_C={pc.t_c}")
+        supports.append(frozenset(supp))
+    return LocalizationResult(logical_indices=frozenset().union(*supports),
+                              per_row_supports=tuple(supports))
+
+
+def _reference_localize_pt(pc, xi):
+    r = pc.R
+    supports, flips = [], []
+    for i, row in enumerate(xi.matrix.row_data):
+        locs = classical.bm_locate(pc.c, row) if row else []
+        if locs is None:
+            raise LocalizationError(i, "decoding budget exceeded")
+        supports.append(frozenset(p - r for p in locs if p >= r))
+        flips.append(frozenset(p for p in locs if p < r))
+    return LocalizationResult(logical_indices=frozenset().union(*supports),
+                              per_row_supports=tuple(supports),
+                              syndrome_flips=tuple(flips))
+
+
+def _outcome(localize, pc, xi):
+    try:
+        res = localize(pc, xi)
+    except LocalizationError as exc:
+        return "raised", exc.row
+    return res.logical_indices, res.per_row_supports, res.syndrome_flips
+
+
+@pytest.mark.parametrize("c,q,mode,t_c", [
+    (classical.bch(4, 3), quantum.steane(), "full", -1),
+    (classical.bch(4, 2), quantum.steane(), "full", -1),
+    (classical.hamming(3), quantum.rep3(), "full", -1),
+    (classical.golay23(), quantum.steane(), "full", -1),
+    (classical.bch(4, 3), quantum.color17(), "full", -1),
+    (classical.bch(4, 3), quantum.steane(), "full", 1),
+    (classical.bch(4, 3), quantum.steane(), "pt", -1),
+    (classical.bch(4, 2), quantum.steane(), "pt", -1),
+    (classical.bch(5, 3), quantum.steane(), "pt", -1),
+], ids=["bch15-3", "bch15-2", "hamming3-rep3", "golay23", "bch15-3-color17",
+        "bch15-3-tc1", "bch15-3pt", "bch15-2pt", "bch31-3pt"])
+def test_localize_bm_matches_both_former_localizers(monkeypatch, c, q, mode, t_c):
+    """Every value of the first and of the last row of Xi, the other rows
+    zero, gives the former localizer's supports (and P^T-mode flips) or
+    raises on the same row; full-H mode reports no flips."""
+    pc = ProductCode(c, q, hc_mode=mode, t_c=t_c)
+    monkeypatch.setattr(ProductCode, "R", pc.R)  # each read re-derives H_C
+    reference = _reference_localize_pt if mode == "pt" else _reference_localize_rows
+    stab_rows = q.check_matrix("X").rows
+    no_flips = (frozenset(),) * stab_rows
+    for i in (0, stab_rows - 1):
+        for value in range(1 << pc.R):
+            rows = [0] * stab_rows
+            rows[i] = value
+            xi = ProductSyndrome(BitMatrix(rows, pc.R))
+            got, want = _outcome(decoder.localize_bm, pc, xi), _outcome(reference, pc, xi)
+            if mode == "full" and got[0] != "raised":
+                assert got[2] == no_flips
+                got, want = got[:2], want[:2]
+            assert got == want, (i, value)
 
 
 def test_localize_bm_builds_no_matrix_per_row(monkeypatch):

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from qproduct import cli, gf2
+from qproduct.gf2 import BitMatrix
 
 TABLES = [
     (["--c", "hamming3pt", "--q", "rep3"],
@@ -82,3 +83,26 @@ def test_decode_output_digest(capsys, tmp_path):
     statuses = {json.loads(line)["status"] for line in out.splitlines()}
     assert statuses == {"ok", "ambiguous", "not_found"}
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == DECODE_DIGEST
+
+
+LOCALIZE_DIGEST = "005da29226ed352f2741aa716c5885d2855f9645914a080bede59b4e6da0ced4"
+
+
+def test_localize_output_digest(capsys, tmp_path):
+    """stdout and exit code of localize on bch:15:2pt x steane (a 3 x 8 Xi)
+    for every value of each row, the other rows zero.  stderr is not pinned:
+    only the exit code of a failed decode is."""
+    path = tmp_path / "xi.txt"
+    digest = hashlib.sha256()
+    codes = set()
+    for i in range(3):
+        for value in range(1 << 8):
+            rows = [0, 0, 0]
+            rows[i] = value
+            path.write_text(gf2.to_text(BitMatrix(rows, 8)))
+            code = cli.main(["localize", "--c", "bch:15:2pt", "--q", "steane",
+                             "--xi", str(path)])
+            codes.add(code)
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode("ascii"))
+    assert codes == {0, 1}
+    assert digest.hexdigest() == LOCALIZE_DIGEST

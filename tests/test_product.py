@@ -261,6 +261,17 @@ def test_load_rejects_wrong_product(tmp_path):
         product.load_lookup_table(str(tmp_path / "junk.lut"), pc)
 
 
+@pytest.mark.parametrize("mc", ["-2", "-1", "2"])
+def test_load_rejects_column_budget_outside_range(tmp_path, mc):
+    """The loader keeps the builder's rule 0 <= mc <= t_C (desk t_C = 1)."""
+    pc = desk_instance()
+    path = tmp_path / "desk.lut"
+    product.save_lookup_table(product.build_lookup_table(pc), str(path))
+    path.write_text(path.read_text().replace(" mc=1 ", f" mc={mc} ", 1))
+    with pytest.raises(GF2Error, match=f"mc={mc} outside"):
+        product.load_lookup_table(str(path), pc)
+
+
 def test_stabilizer_equivalent():
     pc = ProductCode(classical.bch(4, 3), quantum.steane(), t_c=2)
     a = pattern(pc, 0b0001001)           # X1 X4 in column 0
