@@ -1,15 +1,16 @@
 """Hybrid classical-quantum product codes.
 
-Construction, syndrome extraction, lookup-table and nearest-neighbor
-decoding, logical-qubit localization, analytic failure/overhead models,
-CNOT circuit Pauli propagation, and Monte Carlo validation.
+Construction, syndrome extraction, lookup-table decoding (exact, or one
+batched numpy nearest-key scan for noisy syndromes), logical-qubit
+localization, analytic failure/overhead models, CNOT circuit Pauli
+propagation, and Monte Carlo validation.
 """
 
 from .gf2 import BitMatrix, GF2Error
 from .classical import ClassicalCode, GaloisField, StandardArray
 from .quantum import CosetTable, CssCode, PauliOp
 from .product import ErrorPattern, LookupTable, ProductCode, ProductSyndrome
-from .decoder import BKTree, LocalizationResult
+from .decoder import LocalizationResult
 from .analytics import ErrorModel, OverheadReport
 from .circuit import PauliFrame, SyndromeCircuit
 from .sim import TrialConfig, TrialReport
@@ -19,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMatrix", "GF2Error", "ClassicalCode", "GaloisField", "StandardArray",
     "CosetTable", "CssCode", "PauliOp", "ErrorPattern", "LookupTable",
-    "ProductCode", "ProductSyndrome", "BKTree", "LocalizationResult",
+    "ProductCode", "ProductSyndrome", "LocalizationResult",
     "ErrorModel", "OverheadReport", "PauliFrame", "SyndromeCircuit",
     "TrialConfig", "TrialReport", "__version__",
 ]

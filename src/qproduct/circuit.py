@@ -147,10 +147,3 @@ def build_shor_ft_circuit(pc: ProductCode, stabilizer_row: int,
         gates=tuple(gates),
         measurements=((block_ids, "parity"),),
     )
-
-
-def verification_matrix(n: int) -> BitMatrix:
-    """Cat-state end-pair check: a single row [1, 0, ..., 0, 1]."""
-    if n < 2:
-        raise GF2Error(f"verification vector needs n >= 2, got {n}")
-    return BitMatrix([1 | (1 << (n - 1))], n)

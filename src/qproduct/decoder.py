@@ -1,12 +1,15 @@
 """Decoding paths over product-code lookup tables.
 
-Exact key lookup, BK-tree nearest-neighbor decoding of noisy syndromes,
-and logical-qubit localization from the rows of the product syndrome.
+Exact key lookup and batched nearest-key decoding of noisy syndromes (one
+numpy distance scan over the table's key words), and logical-qubit
+localization from the rows of the product syndrome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import classical
 from .gf2 import GF2Error
@@ -21,83 +24,62 @@ class LocalizationError(GF2Error):
         self.row = row
 
 
-class BKTree:
-    """Burkhard-Keller tree over integer keys under Hamming distance.
+BLOCK_ELEMENTS = 1 << 18  # cap on the (queries, keys, words) elements of one distance block
+_STATUS = np.array(["ok", "ambiguous", "not_found"])
 
-    Children are keyed by their distance to the parent, so a radius query
-    only descends into edges within [d - radius, d + radius] (triangle
-    inequality).  ``last_visit_count`` records nodes touched by the most
-    recent query, for pruning diagnostics.
-    """
 
-    __slots__ = ("_root", "size", "last_visit_count")
-
-    def __init__(self, keys=()):
-        self._root: list | None = None  # [key, {distance: child}]
-        self.size = 0
-        self.last_visit_count = 0
-        for key in keys:
-            self.add(key)
-
-    def add(self, key: int) -> None:
-        if self._root is None:
-            self._root = [key, {}]
-            self.size = 1
-            return
-        node = self._root
-        while True:
-            d = (key ^ node[0]).bit_count()
-            if d == 0:
-                raise GF2Error(f"duplicate key {key:#x}")
-            child = node[1].get(d)
-            if child is None:
-                node[1][d] = [key, {}]
-                self.size += 1
-                return
-            node = child
-
-    def query(self, key: int, radius: int) -> list[tuple[int, int]]:
-        """All (stored key, distance) pairs within the Hamming radius."""
-        out: list[tuple[int, int]] = []
-        self.last_visit_count = 0
-        if self._root is None:
-            return out
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.last_visit_count += 1
-            d = (key ^ node[0]).bit_count()
-            if d <= radius:
-                out.append((node[0], d))
-            for edge, child in node[1].items():
-                if d - radius <= edge <= d + radius:
-                    stack.append(child)
+def _words(keys: np.ndarray, w: int) -> np.ndarray:
+    """(len(keys), w) uint64 words of nonnegative keys, low word first."""
+    if keys.dtype != object:  # int64 keys fill the low word
+        out = np.zeros((len(keys), w), dtype=np.uint64)
+        out[:, 0] = keys
         return out
+    blob = b"".join(k.to_bytes(8 * w, "little") for k in keys)
+    return np.frombuffer(blob, dtype="<u8").reshape(len(keys), w)
 
 
-def nearest_key(table: LookupTable, key: int, radius: int) -> tuple[str, int, int]:
-    """Table decode: (status, distance, matched key) of the unique stored
-    key nearest to ``key`` within the Hamming ``radius``; the correction is
+def nearest_key(table: LookupTable, keys, radius: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Table decode of a batch of keys: (status, distance, matched key)
+    arrays, one entry per key, for the unique stored key nearest to each
+    within the Hamming ``radius``; the correction is
     ``table.entries[matched key]``.
 
     Status is 'ok', 'not_found' or 'ambiguous'; equal-distance ties are
-    surfaced, never broken.  Keys are distinct, so an exact hit is the
-    unique nearest key and needs no tree query; radius 0 is exact lookup.
+    surfaced, never broken.  The distance is -1 where no stored key lies
+    within the radius, the matched key -1 unless the status is 'ok'.
+    Radius 0 is exact lookup in ``table.entries`` and builds no index; a
+    negative radius finds nothing.  A positive radius XORs the keys against
+    ``table.key_words``, the sorted stored keys as an (entries, words)
+    uint64 matrix, counts the set bits and takes each key's minimum, tie
+    count and argmin, in blocks of at most BLOCK_ELEMENTS elements (or one
+    key).  Keys are nonnegative ints: an int64 array, or any sequence.
     """
-    if radius >= 0 and key in table.entries:
-        return "ok", 0, key
-    if radius <= 0:
-        return "not_found", -1, -1
-    if table.bk_index is None:
-        table.bk_index = BKTree(sorted(table.entries))
-    matches = table.bk_index.query(key, radius)
-    if not matches:
-        return "not_found", -1, -1
-    best = min(d for _, d in matches)
-    nearest = [k for k, d in matches if d == best]
-    if len(nearest) > 1:
-        return "ambiguous", best, -1
-    return "ok", best, nearest[0]
+    if not (isinstance(keys, np.ndarray) and keys.dtype == np.int64):  # ints of any width
+        keys = np.array([int(k) for k in keys], dtype=object)
+    if radius <= 0 or not table.entries:  # exact lookup; an empty table finds nothing
+        hit = np.array([radius == 0 and k in table.entries for k in keys.tolist()],
+                       dtype=bool)
+        return (np.where(hit, "ok", "not_found"), np.where(hit, 0, -1),
+                np.where(hit, keys, -1))
+    if table.key_words is None:
+        stored = np.array(sorted(table.entries),
+                          dtype=np.int64 if table.key_bits < 64 else object)
+        table.key_words = stored, _words(stored, max(1, -(-table.key_bits // 64)))
+    stored, words = table.key_words
+    queries = _words(keys, words.shape[1])
+    best = np.empty(len(keys), dtype=np.intp)
+    ties = np.empty(len(keys), dtype=np.intp)
+    pos = np.empty(len(keys), dtype=np.intp)
+    step = max(1, BLOCK_ELEMENTS // words.size)
+    for lo in range(0, len(keys), step):
+        dist = np.bitwise_count(queries[lo:lo + step, None] ^ words).sum(axis=2,
+                                                                         dtype=np.intp)
+        best[lo:lo + step] = low = dist.min(axis=1)
+        ties[lo:lo + step] = (dist == low[:, None]).sum(axis=1)
+        pos[lo:lo + step] = dist.argmin(axis=1)
+    code = np.where(best > radius, 2, np.where(ties > 1, 1, 0))
+    return _STATUS[code], np.where(code < 2, best, -1), np.where(code == 0, stored[pos], -1)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 class GF2Error(ValueError):
     """Raised on dimension mismatches and rank violations."""
@@ -57,11 +55,6 @@ class BitMatrix:
             data.append(bits_to_int(bits))
         return cls(data, width if width is not None else 0)
 
-    @classmethod
-    def from_numpy(cls, arr: np.ndarray) -> "BitMatrix":
-        arr = np.atleast_2d(np.asarray(arr, dtype=np.uint8) & 1)
-        return cls.from_rows(arr.tolist())
-
     # -- element access ----------------------------------------------
 
     def get(self, i: int, j: int) -> int:
@@ -73,19 +66,6 @@ class BitMatrix:
     def row_bits(self, i: int) -> list[int]:
         r = self.row_data[i]
         return [(r >> j) & 1 for j in range(self.cols)]
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.row_bits(i) for i in range(self.rows)]
-
-    def to_numpy(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            r = self.row_data[i]
-            while r:
-                low = r & -r
-                out[i, low.bit_length() - 1] = 1
-                r ^= low
-        return out
 
     # -- basic algebra -------------------------------------------------
 
@@ -154,15 +134,6 @@ class BitMatrix:
 
 
 # BitVector is a 1xN BitMatrix; these helpers keep call sites readable.
-
-def vector_from_support(support: Iterable[int], n: int) -> BitMatrix:
-    acc = 0
-    for i in support:
-        if not 0 <= i < n:
-            raise GF2Error(f"support index {i} out of range for length {n}")
-        acc |= 1 << i
-    return BitMatrix([acc], n)
-
 
 def support(v: BitMatrix) -> list[int]:
     if v.rows != 1:
@@ -321,10 +292,6 @@ def bits_to_int(bits: Iterable[int]) -> int:
         if b & 1:
             acc |= 1 << i
     return acc
-
-
-def int_to_bits(value: int, n: int) -> list[int]:
-    return [(value >> i) & 1 for i in range(n)]
 
 
 def bitstring_to_int(s: str) -> int:

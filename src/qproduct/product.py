@@ -102,10 +102,6 @@ class ErrorPattern:
         """vec() packing: bit L*n_q + q holds entry (q, L)."""
         return gf2.vec(self.matrix).row_data[0]
 
-    @classmethod
-    def from_packed(cls, value: int, n: int, L: int, error_type: str = "X") -> "ErrorPattern":
-        return cls(gf2.unvec(BitMatrix([value], n * L), n, L), error_type)
-
 
 @dataclass(frozen=True)
 class ProductSyndrome:
@@ -131,11 +127,6 @@ class ProductSyndrome:
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
-
-    @classmethod
-    def from_key(cls, key: int, stab_rows: int, r: int) -> "ProductSyndrome":
-        mask = (1 << r) - 1
-        return cls(BitMatrix([(key >> (i * r)) & mask for i in range(stab_rows)], r))
 
 
 def product_parity_check(pc: ProductCode, error_type: str = "X") -> BitMatrix:
@@ -227,9 +218,9 @@ class LookupTable:
 
     Keys and values are the integer packings of ProductSyndrome.key and
     ErrorPattern.packed().  Two indexes are built from ``entries`` on first
-    use: ``bk_index``, the BK tree ``decoder.nearest_key`` queries when a key
-    is not stored and the radius is positive, and ``key_arrays``, the sorted
-    key and value arrays lookup-mode ``sim.run_trials`` searches.  Assigning
+    use: ``key_words``, the sorted keys and their uint64 words, which
+    ``decoder.nearest_key`` scans at a positive radius, and ``key_arrays``,
+    the sorted key and value arrays ``sim.run_trials`` searches.  Assigning
     ``entries`` drops both, and ``dataclasses.replace`` starts without them.
     Edit a table by assigning a new dict, not by changing ``entries`` in place.
     """
@@ -239,12 +230,12 @@ class LookupTable:
     key_bits: int
     entries: dict[int, int]
     max_cols: int = -1  # cap on columns hit the table was built with (-1: pc.t_c)
-    bk_index: object = field(default=None, init=False, repr=False, compare=False)
+    key_words: object = field(default=None, init=False, repr=False, compare=False)
     key_arrays: object = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
         if name == "entries":  # the indexes belong to the entries they came from
-            object.__setattr__(self, "bk_index", None)
+            object.__setattr__(self, "key_words", None)
             object.__setattr__(self, "key_arrays", None)
         object.__setattr__(self, name, value)
 
@@ -315,12 +306,27 @@ TABLE_FIELDS = ("c", "q", "mode", "type", "tc", "tq", "mc", "key_bits", "n", "L"
                 "entries")
 
 
+def _code_fields(pc: ProductCode, error_type: str) -> dict[str, str]:
+    """The header fields naming a table's code and error type, in file order."""
+    return {"c": f"{pc.c.kind}:{pc.c.n}:{pc.c.k}", "q": pc.q.kind, "mode": pc.hc_mode,
+            "type": error_type, "tc": str(pc.t_c), "tq": str(pc.t_q)}
+
+
 def _table_header(pc: ProductCode, error_type: str, max_cols: int,
                   entries: int) -> dict[str, str]:
     """Header fields of a table file for this code, in file order."""
-    values = (f"{pc.c.kind}:{pc.c.n}:{pc.c.k}", pc.q.kind, pc.hc_mode, error_type,
-              pc.t_c, pc.t_q, max_cols, pc.key_bits(error_type), pc.q.n, pc.L, entries)
-    return {name: str(v) for name, v in zip(TABLE_FIELDS, values)}
+    rest = (max_cols, pc.key_bits(error_type), pc.q.n, pc.L, entries)
+    return _code_fields(pc, error_type) | {name: str(v) for name, v in zip(TABLE_FIELDS[6:], rest)}
+
+
+def check_table(table: LookupTable, pc: ProductCode, error_type: str, key_bits: int) -> None:
+    """Refuse a table built for another code or error type: the header fields
+    c, q, mode, type, tc, tq and key_bits of its file must match.  The caller
+    passes the code's key_bits, since each read of ``pc.h_c`` rebuilds H_C."""
+    mine = _code_fields(table.pc, table.error_type) | {"key_bits": str(table.key_bits)}
+    for name, want in (_code_fields(pc, error_type) | {"key_bits": str(key_bits)}).items():
+        if mine[name] != want:
+            raise GF2Error(f"table built for {name}={mine[name]}, not {want}")
 
 
 def save_lookup_table(table: LookupTable, path: str) -> str:

@@ -194,17 +194,6 @@ def golay_css() -> CssCode:
                    logical_x=logical, logical_z=logical)
 
 
-def q_syndrome(q: CssCode, e: PauliOp) -> tuple[BitMatrix, BitMatrix]:
-    """(Sigma_X, Sigma_Z) = (HZ u^T, HX v^T) for the error [u | v]."""
-    if e.n != q.n:
-        raise GF2Error(f"operator length {e.n} != code length {q.n}")
-    u = BitMatrix([e.x], q.n)
-    v = BitMatrix([e.z], q.n)
-    sx = gf2.mul(q.hz, u.transpose()).transpose() if q.hz.rows else BitMatrix.zeros(1, 0)
-    sz = gf2.mul(q.hx, v.transpose()).transpose() if q.hx.rows else BitMatrix.zeros(1, 0)
-    return sx, sz
-
-
 def logical_matrix(q: CssCode, error_type: str) -> BitMatrix:
     mat = q.logical_x if error_type == "X" else q.logical_z
     if mat is None:

@@ -7,7 +7,9 @@ rates with Wilson 95% intervals against the closed-form prediction.
 Each batch packs its error patterns and syndrome flips into int64 values
 and triages only the nonzero shots (keys from per-byte XOR tables, weights
 from a byte popcount table); all-zero shots share one outcome, decided once
-per call.  Lookup mode reads the table with one vectorised search.
+per call.  Min-distance mode first turns a batch's keys into their nearest
+stored keys with one ``decoder.nearest_key`` call; both modes then read the
+table with one vectorised search.
 
 Randomness comes from numpy's Philox counter-based generator, so streams
 are reproducible bit-exactly from the 64-bit seed on any platform.
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import analytics, decoder, quantum
 from .gf2 import BitMatrix, GF2Error
-from .product import LookupTable, ProductCode, build_lookup_table, key_map
+from .product import LookupTable, ProductCode, build_lookup_table, check_table, key_map
 
 BATCH = 1 << 15
 
@@ -120,6 +122,7 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
         max_cols = pc.t_src if cfg.decode_mode == "min_distance" else pc.t_c
         table = build_lookup_table(pc, cfg.error_type, max_cols=max_cols)
     hq, hc = pc.q.check_matrix(cfg.error_type), pc.h_c
+    check_table(table, pc, cfg.error_type, hq.rows * hc.rows)
     n, L = hq.cols, hc.cols
     if n * L > 62 or table.key_bits > 62:
         raise GF2Error("simulation fast path limited to 62-bit patterns/keys")
@@ -142,18 +145,17 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
         truths, keys = truths[live], flips[live]
         for j, key_table in enumerate(key_tables):
             keys ^= key_table[(truths >> (8 * j)) & 255]
-        if cfg.decode_mode == "lookup":  # one search over the sorted stored keys
-            if table.key_arrays is None:  # key -1 pads an empty table
-                items = sorted(table.entries.items()) or [(-1, 0)]
-                table.key_arrays = np.array(items, dtype=np.int64).T.copy()
-            stored_keys, values = table.key_arrays
-            pos = np.minimum(np.searchsorted(stored_keys, keys), len(stored_keys) - 1)
-            found, stored, ambiguous = stored_keys[pos] == keys, values[pos], 0
-        else:  # a miss matches key -1, which no table stores
-            hits = [decoder.nearest_key(table, key, radius) for key in keys.tolist()]
-            found = np.array([status == "ok" for status, _, _ in hits], dtype=bool)
-            stored = np.array([table.entries.get(k, 0) for _, _, k in hits], dtype=np.int64)
-            ambiguous = sum(status == "ambiguous" for status, _, _ in hits)
+        ambiguous = 0
+        if cfg.decode_mode == "min_distance":  # each key becomes its nearest stored key
+            status, _, keys = decoder.nearest_key(table, keys, radius)
+            ambiguous = int(np.count_nonzero(status == "ambiguous"))
+        if table.key_arrays is None:  # key -1 pads an empty table
+            items = sorted(table.entries.items()) or [(-1, 0)]
+            table.key_arrays = np.array(items, dtype=np.int64).T.copy()
+        stored_keys, values = table.key_arrays  # one search over the sorted stored keys
+        pos = np.minimum(np.searchsorted(stored_keys, keys), len(stored_keys) - 1)
+        # key -1, no unique stored key within the radius, matches nothing
+        found, stored = (stored_keys[pos] == keys) & (keys >= 0), values[pos]
         counts["ambiguities"] += ambiguous
         counts["decode_errors"] += len(keys) - int(found.sum()) - ambiguous
         # one classification of stored against true correction, both modes

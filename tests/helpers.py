@@ -1,0 +1,83 @@
+"""Test-side conversions and brute-force references shared by the test modules.
+
+Nothing in the package calls these; they build inputs and read results in
+the forms the tests compare against (lists, numpy arrays, supports).
+"""
+
+from typing import Iterable
+
+import numpy as np
+
+from qproduct import gf2
+from qproduct.gf2 import BitMatrix, GF2Error
+from qproduct.product import ErrorPattern, ProductSyndrome
+from qproduct.quantum import CssCode, PauliOp
+
+
+def from_numpy(arr) -> BitMatrix:
+    arr = np.atleast_2d(np.asarray(arr, dtype=np.uint8) & 1)
+    return BitMatrix.from_rows(arr.tolist())
+
+
+def to_lists(m: BitMatrix) -> list[list[int]]:
+    return [m.row_bits(i) for i in range(m.rows)]
+
+
+def to_numpy(m: BitMatrix) -> np.ndarray:
+    return np.array(to_lists(m), dtype=np.uint8).reshape(m.rows, m.cols)
+
+
+def vector_from_support(support: Iterable[int], n: int) -> BitMatrix:
+    acc = 0
+    for i in support:
+        if not 0 <= i < n:
+            raise GF2Error(f"support index {i} out of range for length {n}")
+        acc |= 1 << i
+    return BitMatrix([acc], n)
+
+
+def int_to_bits(value: int, n: int) -> list[int]:
+    return [(value >> i) & 1 for i in range(n)]
+
+
+def q_syndrome(q: CssCode, e: PauliOp) -> tuple[BitMatrix, BitMatrix]:
+    """(Sigma_X, Sigma_Z) = (HZ u^T, HX v^T) for the error [u | v]."""
+    if e.n != q.n:
+        raise GF2Error(f"operator length {e.n} != code length {q.n}")
+    u = BitMatrix([e.x], q.n)
+    v = BitMatrix([e.z], q.n)
+    sx = gf2.mul(q.hz, u.transpose()).transpose() if q.hz.rows else BitMatrix.zeros(1, 0)
+    sz = gf2.mul(q.hx, v.transpose()).transpose() if q.hx.rows else BitMatrix.zeros(1, 0)
+    return sx, sz
+
+
+def pattern_from_packed(value: int, n: int, L: int, error_type: str = "X") -> ErrorPattern:
+    """The inverse of ErrorPattern.packed()."""
+    return ErrorPattern(gf2.unvec(BitMatrix([value], n * L), n, L), error_type)
+
+
+def syndrome_from_key(key: int, stab_rows: int, r: int) -> ProductSyndrome:
+    """The inverse of ProductSyndrome.key."""
+    mask = (1 << r) - 1
+    return ProductSyndrome(BitMatrix([(key >> (i * r)) & mask for i in range(stab_rows)], r))
+
+
+def verification_matrix(n: int) -> BitMatrix:
+    """Cat-state end-pair check: a single row [1, 0, ..., 0, 1]."""
+    if n < 2:
+        raise GF2Error(f"verification vector needs n >= 2, got {n}")
+    return BitMatrix([1 | (1 << (n - 1))], n)
+
+
+def brute_nearest(entries, keys, radius: int) -> list[tuple[str, int, int]]:
+    """decoder.nearest_key's answers, one (status, distance, matched key)
+    tuple per key, from the distance of each key to every stored key."""
+    out = []
+    for key in keys:
+        dist = [((k ^ key).bit_count(), k) for k in entries]
+        best = min((d for d, _ in dist), default=radius + 1)
+        nearest = [k for d, k in dist if d == best]
+        out.append(("not_found", -1, -1) if best > radius
+                   else ("ok", best, nearest[0]) if len(nearest) == 1
+                   else ("ambiguous", best, -1))
+    return out

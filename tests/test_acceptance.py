@@ -137,12 +137,10 @@ def test_criterion_06_noisy_syndrome_sweep():
     flips += [(1 << i) | (1 << j)
               for i, j in itertools.combinations(range(bits), 2)]
     for key in table.entries:
-        for f in flips:
-            status, _, matched = decoder.nearest_key(table, key ^ f,
-                                                     pc.t_c - pc.t_src)
-            total += 1
-            if status != "ok" or matched != key:
-                bad += 1
+        status, _, matched = decoder.nearest_key(table, [key ^ f for f in flips],
+                                                 pc.t_c - pc.t_src)
+        total += len(flips)
+        bad += int(((status != "ok") | (matched != key)).sum())
     elapsed = time.perf_counter() - start
     report(6, f"all {total} <=2-bit key corruptions over {len(table.entries)} "
               f"keys decode to the original entry ({elapsed:.1f}s)",
@@ -275,18 +273,23 @@ def test_criterion_11_oracle_suites():
                 bm_ok = False
         elif got is not None:
             bm_ok = False
-    # BK-tree vs linear scan
+    # nearest-key scan vs linear scan
     keys = rng.sample(range(1 << 20), 10 ** 4)
-    tree = decoder.BKTree(keys)
-    bk_ok = True
+    table = product.LookupTable(pc=desk_instance(), error_type="X", key_bits=20,
+                                entries=dict.fromkeys(keys, 0))
+    nk_ok = True
     for _ in range(100):
         probe = rng.randrange(1 << 20)
         radius = rng.randint(0, 3)
-        expect = sorted((k, (k ^ probe).bit_count()) for k in keys
+        within = sorted(((k ^ probe).bit_count(), k) for k in keys
                         if (k ^ probe).bit_count() <= radius)
-        if sorted(tree.query(probe, radius)) != expect or \
-                tree.last_visit_count > tree.size:
-            bk_ok = False
+        ties = [k for d, k in within if d == within[0][0]]
+        expect = (("not_found", -1, -1) if not within
+                  else ("ok", within[0][0], ties[0]) if len(ties) == 1
+                  else ("ambiguous", within[0][0], -1))
+        got = tuple(a.tolist()[0] for a in decoder.nearest_key(table, [probe], radius))
+        if got != expect:
+            nk_ok = False
     # Poisson-binomial DP vs 2^n enumeration at n = 20
     probs = [rng.random() for _ in range(20)]
     threshold = 8
@@ -312,6 +315,6 @@ def test_criterion_11_oracle_suites():
         rhs = gf2.vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
         if lhs != rhs:
             vec_ok = False
-    report(11, f"oracles: BM={bm_ok}, BK-tree={bk_ok}, "
+    report(11, f"oracles: BM={bm_ok}, nearest-key={nk_ok}, "
                f"Poisson-binomial={pb_ok}, flattening={vec_ok}",
-           bm_ok and bk_ok and pb_ok and vec_ok)
+           bm_ok and nk_ok and pb_ok and vec_ok)

@@ -9,6 +9,8 @@ from qproduct.circuit import PauliFrame, SyndromeCircuit
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ErrorPattern, ProductCode
 
+from helpers import to_lists, verification_matrix
+
 
 def desk_instance():
     return ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
@@ -167,7 +169,7 @@ def test_bare_circuit_y_fault_counterexample():
 
 
 def test_verification_matrix():
-    v = circuit.verification_matrix(4)
-    assert v.to_lists() == [[1, 0, 0, 1]]
+    v = verification_matrix(4)
+    assert to_lists(v) == [[1, 0, 0, 1]]
     with pytest.raises(GF2Error):
-        circuit.verification_matrix(1)
+        verification_matrix(1)

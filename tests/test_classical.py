@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from qproduct import classical, gf2
 from qproduct.gf2 import BitMatrix, GF2Error
 
+from helpers import to_lists, vector_from_support
+
 
 def brute_force_decode(code, received, radius):
     """All codewords within the radius of the received word."""
@@ -83,15 +85,15 @@ def test_hamming3_pinned_pt_columns():
 
 def test_repetition3_matches_stabilizer_layout():
     code = classical.repetition(3)
-    assert code.G.to_lists() == [[1, 1, 1]]
-    assert code.H.to_lists() == [[1, 1, 0], [1, 0, 1]]
+    assert to_lists(code.G) == [[1, 1, 1]]
+    assert to_lists(code.H) == [[1, 1, 0], [1, 0, 1]]
 
 
 def test_spc_detects_weight_one():
     code = classical.single_parity_check(4)
-    assert code.H.to_lists() == [[1, 1, 1, 1]]
+    assert to_lists(code.H) == [[1, 1, 1, 1]]
     for j in range(4):
-        syn = classical.syndrome(code, gf2.vector_from_support([j], 4))
+        syn = classical.syndrome(code, vector_from_support([j], 4))
         assert syn.row_bits(0) == [1]
 
 
@@ -112,7 +114,7 @@ def test_syndrome_of_codeword_is_zero():
 def test_syndrome_unit_vector_is_column():
     code = classical.hamming(3)
     for j in range(code.n):
-        syn = classical.syndrome(code, gf2.vector_from_support([j], code.n))
+        syn = classical.syndrome(code, vector_from_support([j], code.n))
         assert syn.row_bits(0) == [code.H.get(i, j) for i in range(code.r)]
 
 
@@ -121,7 +123,7 @@ def test_syndrome_injective_within_radius():
     seen = {}
     for w in range(code.t + 1):
         for supp in itertools.combinations(range(code.n), w):
-            v = gf2.vector_from_support(supp, code.n)
+            v = vector_from_support(supp, code.n)
             key = classical.syndrome(code, v).row_data[0]
             assert key not in seen or seen[key] == supp
             seen[key] = supp

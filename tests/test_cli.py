@@ -7,6 +7,8 @@ import pytest
 from qproduct import cli, classical, gf2, product, quantum
 from qproduct.gf2 import GF2Error
 
+from helpers import pattern_from_packed
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -96,7 +98,7 @@ def test_product_build_decode_roundtrip(capsys, tmp_path):
     assert json.loads(out)["entries"] == 13
     # syndrome of an X error on qubit 2, stabilizer-major bit order
     pc = product.ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
-    e = product.ErrorPattern.from_packed(1 << 1, 3, 4)
+    e = pattern_from_packed(1 << 1, 3, 4)
     syndrome = gf2.int_to_bitstring(product.extract_syndrome(pc, e).key, 6)
     code, out, _ = run(capsys, "decode", "--table", table_path,
                        "--c", "hamming3pt", "--q", "rep3",
@@ -113,7 +115,7 @@ def test_decode_min_distance_flag(capsys, tmp_path):
         "--tsrc", "1", "--max-cols", "1", "--out", table_path)
     pc = product.ProductCode(classical.bch(4, 3), quantum.steane(),
                              hc_mode="pt", t_src=1)
-    e = product.ErrorPattern.from_packed(1 << 0, 7, 5)
+    e = pattern_from_packed(1 << 0, 7, 5)
     key = product.extract_syndrome(pc, e).key ^ 0b11  # two flipped bits
     code, out, _ = run(capsys, "decode", "--table", table_path,
                        "--c", "bch:15:3pt", "--q", "steane", "--tsrc", "1",

@@ -1,4 +1,4 @@
-"""BK-tree queries, table decoding paths, and logical-qubit localization."""
+"""Nearest-key table decoding and logical-qubit localization."""
 
 import itertools
 import random
@@ -7,52 +7,98 @@ import numpy as np
 import pytest
 
 from qproduct import classical, decoder, gf2, product, quantum
-from qproduct.decoder import BKTree, LocalizationError, LocalizationResult
+from qproduct.decoder import LocalizationError, LocalizationResult
 from qproduct.gf2 import BitMatrix, GF2Error
-from qproduct.product import ErrorPattern, ProductCode, ProductSyndrome
+from qproduct.product import ProductCode, ProductSyndrome
+
+from helpers import brute_nearest, pattern_from_packed, vector_from_support
 
 
 def pattern(pc, bits):
-    return ErrorPattern.from_packed(bits, pc.q.n, pc.L)
+    return pattern_from_packed(bits, pc.q.n, pc.L)
 
 
-# -- BK-tree ------------------------------------------------------------------
+def nearest(table, keys, radius):
+    """decoder.nearest_key's batch answer as one (status, distance, key) tuple per key."""
+    return list(zip(*(a.tolist() for a in decoder.nearest_key(table, keys, radius))))
+
+
+def key_table(keys, key_bits):
+    pc = ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
+    return product.LookupTable(pc=pc, error_type="X", key_bits=key_bits,
+                               entries=dict.fromkeys(keys, 0))
+
+
+# -- the nearest-key kernel against a linear scan ---------------------------------
 
 def linear_scan(keys, key, radius):
-    return sorted((k, (k ^ key).bit_count()) for k in keys
-                  if (k ^ key).bit_count() <= radius)
+    """nearest_key's answer from the (key, distance) pairs within the radius."""
+    within = [(k, (k ^ key).bit_count()) for k in keys if (k ^ key).bit_count() <= radius]
+    if not within:
+        return ("not_found", -1, -1)
+    best = min(d for _, d in within)
+    ties = [k for k, d in within if d == best]
+    return ("ok", best, ties[0]) if len(ties) == 1 else ("ambiguous", best, -1)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_bktree_matches_linear_scan(seed):
+def test_nearest_key_matches_linear_scan(seed):
     rng = random.Random(seed)
     keys = rng.sample(range(1 << 16), 2000)
-    tree = BKTree(keys)
-    assert tree.size == 2000
+    table = key_table(keys, 16)
     for _ in range(100):
         probe = rng.randrange(1 << 16)
         radius = rng.randint(0, 3)
-        assert sorted(tree.query(probe, radius)) == linear_scan(keys, probe, radius)
+        assert nearest(table, [probe], radius) == [linear_scan(keys, probe, radius)]
 
 
-def test_bktree_duplicate_rejected():
-    tree = BKTree([5, 9])
-    with pytest.raises(GF2Error, match="duplicate"):
-        tree.add(5)
+def test_nearest_key_empty_table():
+    table = key_table([], 16)
+    for radius in (0, 5):
+        assert nearest(table, [123, 0], radius) == [("not_found", -1, -1)] * 2
+        assert table.key_words is None
+    assert nearest(table, [], 5) == []
 
 
-def test_bktree_prunes():
-    rng = random.Random(7)
-    keys = rng.sample(range(1 << 16), 2000)
-    tree = BKTree(keys)
-    tree.query(rng.randrange(1 << 16), 0)
-    assert 0 < tree.last_visit_count < tree.size // 4
+@pytest.mark.parametrize("key_bits", [64, 70, 130])
+def test_nearest_key_wide_keys_match_brute_force(key_bits):
+    """Keys of one word and more: random keys and probes near them."""
+    rng = random.Random(key_bits)
+    keys = sorted({rng.getrandbits(key_bits) for _ in range(300)})
+    table = key_table(keys, key_bits)
+    probes = [k ^ sum(1 << rng.randrange(key_bits) for _ in range(rng.randint(0, 4)))
+              for k in rng.sample(keys, 100)]
+    probes += [rng.getrandbits(key_bits) for _ in range(20)] + [keys[0] ^ keys[1]]
+    for radius in (1, 3, key_bits // 2):
+        assert nearest(table, probes, radius) == brute_nearest(table.entries, probes, radius)
 
 
-def test_bktree_empty():
-    tree = BKTree()
-    assert tree.query(123, 5) == []
-    assert tree.last_visit_count == 0
+def test_nearest_key_paper_scale_keys_match_brute_force():
+    """bch(7,6)pt x color17, t_src=1: 336-bit keys, sampled flips of up to
+    radius + 1 bits on sampled stored keys."""
+    pc = ProductCode(classical.bch(7, 6), quantum.color17(), hc_mode="pt", t_src=1)
+    table = product.build_lookup_table(pc, max_cols=pc.t_src)
+    assert table.key_bits == 336
+    radius = pc.t_c - pc.t_src
+    rng = random.Random(336)
+    probes = [k ^ sum(1 << i for i in rng.sample(range(336), rng.randint(0, radius + 1)))
+              for k in rng.sample(sorted(table.entries), 40)]
+    got = nearest(table, probes, radius)
+    assert got == brute_nearest(table.entries, probes, radius)
+    assert {status for status, _, _ in got} >= {"ok"}
+
+
+def test_nearest_key_batch_straddles_the_block_cap():
+    """A batch spanning several distance blocks, the last one partial,
+    answers as the keys would one by one."""
+    rng = random.Random(11)
+    keys = rng.sample(range(1 << 20), 1500)
+    table = key_table(keys, 20)
+    per_block = decoder.BLOCK_ELEMENTS // len(keys)
+    probes = [rng.randrange(1 << 20) for _ in range(2 * per_block + 7)]
+    probes += [k ^ 1 for k in keys[:50]]
+    assert nearest(table, probes, 3) == brute_nearest(table.entries, probes, 3)
+    assert nearest(table, np.array(probes, dtype=np.int64), 3) == nearest(table, probes, 3)
 
 
 # -- exact and nearest-key decoding ------------------------------------------
@@ -66,11 +112,11 @@ def test_lookup_decode_roundtrip_and_miss():
     pc, table = desk_table()
     e = pattern(pc, 1 << 1)
     key = product.extract_syndrome(pc, e).key
-    status, distance, matched = decoder.nearest_key(table, key, 0)
+    [(status, distance, matched)] = nearest(table, [key], 0)
     assert status == "ok" and table.entries[matched] == e.packed()
     assert distance == 0 and matched == key
     absent = next(k for k in range(1 << 6) if k not in table.entries)
-    assert decoder.nearest_key(table, absent, 0)[0] == "not_found"
+    assert nearest(table, [absent], 0) == [("not_found", -1, -1)]
 
 
 def noisy_table():
@@ -85,22 +131,19 @@ def test_min_distance_decode_exact_and_corrupted():
     keys = sorted(table.entries)
     bits = table.key_bits
     radius = pc.t_c - pc.t_src
-    for key in keys:
-        assert decoder.nearest_key(table, key, radius) == ("ok", 0, key)
+    assert nearest(table, keys, radius) == [("ok", 0, key) for key in keys]
     # every 1-bit and a stride of 2-bit corruptions return the true key
     for key in keys[::5]:
-        for i in range(bits):
-            status, _, matched = decoder.nearest_key(table, key ^ (1 << i), radius)
-            assert status == "ok" and matched == key
-        for i, j in itertools.combinations(range(bits), 2):
-            corrupted = key ^ (1 << i) ^ (1 << j)
-            assert decoder.nearest_key(table, corrupted, radius) == ("ok", 2, key)
+        ones = nearest(table, [key ^ (1 << i) for i in range(bits)], radius)
+        assert ones == [("ok", 1, key)] * bits
+        twos = [key ^ (1 << i) ^ (1 << j) for i, j in itertools.combinations(range(bits), 2)]
+        assert nearest(table, twos, radius) == [("ok", 2, key)] * len(twos)
 
 
 def test_min_distance_decode_not_found():
     pc, table = noisy_table()
     far = (1 << table.key_bits) - 1  # all-ones is nowhere near a sparse key
-    assert decoder.nearest_key(table, far, pc.t_c - pc.t_src)[0] == "not_found"
+    assert nearest(table, [far], pc.t_c - pc.t_src) == [("not_found", -1, -1)]
 
 
 def test_min_distance_decode_ambiguous_tie():
@@ -108,7 +151,7 @@ def test_min_distance_decode_ambiguous_tie():
     table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
                                 entries={0b0011: 1, 0b0101: 2})
     # a tie names no key, so there is no correction to read
-    assert decoder.nearest_key(table, 0b0001, 1) == ("ambiguous", 1, -1)
+    assert nearest(table, [0b0001], 1) == [("ambiguous", 1, -1)]
 
 
 def test_min_distance_default_radius_is_corruption_budget():
@@ -120,26 +163,12 @@ def test_min_distance_default_radius_is_corruption_budget():
     for i in flips:
         corrupted ^= 1 << i
     # three flips exceed the default budget of two
-    status, distance, _ = decoder.nearest_key(table, corrupted, pc.t_c - pc.t_src)
+    [(status, distance, _)] = nearest(table, [corrupted], pc.t_c - pc.t_src)
     assert status in ("not_found", "ambiguous") or distance <= 2
 
 
-def brute_nearest(entries, keys, radius):
-    """nearest_key's answers by exhaustive distance to every stored key."""
-    stored = np.array(sorted(entries), dtype=np.int64)
-    x = np.asarray(keys, dtype=np.int64)[:, None] ^ stored[None, :]
-    dist = np.unpackbits(x.view(np.uint8).reshape(*x.shape, 8), axis=2).sum(axis=2)
-    best = dist.min(axis=1)
-    ties = (dist == best[:, None]).sum(axis=1)
-    nearest = stored[dist.argmin(axis=1)]
-    return [("not_found", -1, -1) if d > radius
-            else ("ok", d, k) if t == 1 else ("ambiguous", d, -1)
-            for d, t, k in zip(best.tolist(), ties.tolist(), nearest.tolist())]
-
-
 def assert_nearest_matches_brute(table, keys, radius):
-    got = [decoder.nearest_key(table, k, radius) for k in keys]
-    assert got == brute_nearest(table.entries, keys, radius)
+    assert nearest(table, keys, radius) == brute_nearest(table.entries, keys, radius)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
@@ -161,11 +190,17 @@ def test_nearest_key_near_every_stored_key():
     assert_nearest_matches_brute(table, keys, radius)
 
 
-def test_nearest_key_exact_hit_skips_the_tree():
+def test_nearest_key_radius_zero_builds_no_index():
+    """Exact lookup reads table.entries alone; a positive radius builds the
+    key words once, and an exact hit there is the unique nearest key."""
     pc, table = noisy_table()
     key = sorted(table.entries)[3]
-    assert decoder.nearest_key(table, key, 2) == ("ok", 0, key)
-    assert table.bk_index is None
+    assert nearest(table, [key, key ^ 1], 0) == [("ok", 0, key), ("not_found", -1, -1)]
+    assert nearest(table, [key], -1) == [("not_found", -1, -1)]
+    assert table.key_words is None
+    assert nearest(table, [key], 2) == [("ok", 0, key)]
+    stored, words = table.key_words
+    assert stored.tolist() == sorted(table.entries) and words.shape == (36, 1)
 
 
 # -- localization -------------------------------------------------------------
@@ -223,7 +258,7 @@ def test_localize_rows_uncovered_syndrome():
     code = pc.c
     for w in range(code.t + 1):
         for supp in itertools.combinations(range(code.n), w):
-            v = gf2.vector_from_support(supp, code.n)
+            v = vector_from_support(supp, code.n)
             covered.add(classical.syndrome(code, v).row_data[0])
     bad = next(s for s in range(1 << code.r) if s not in covered)
     rows = [bad] + [0] * (pc.q.hz.rows - 1)

@@ -7,7 +7,9 @@ import pytest
 
 from qproduct import classical, gf2, product, quantum
 from qproduct.gf2 import BitMatrix, GF2Error
-from qproduct.product import ErrorPattern, ProductCode, ProductSyndrome
+from qproduct.product import ErrorPattern, ProductCode
+
+from helpers import pattern_from_packed, syndrome_from_key
 
 
 def desk_instance():
@@ -16,7 +18,7 @@ def desk_instance():
 
 
 def pattern(pc, bits):
-    return ErrorPattern.from_packed(bits, pc.q.n, pc.L)
+    return pattern_from_packed(bits, pc.q.n, pc.L)
 
 
 def test_dimensions_pt_and_full():
@@ -72,7 +74,7 @@ def test_syndrome_key_layout_and_roundtrip():
     # bits [i*R, (i+1)*R) of the key hold row i of Xi
     for i in range(xi.matrix.rows):
         assert (key >> (i * pc.R)) & ((1 << pc.R) - 1) == xi.matrix.row_data[i]
-    back = ProductSyndrome.from_key(key, xi.matrix.rows, pc.R)
+    back = syndrome_from_key(key, xi.matrix.rows, pc.R)
     assert back.matrix == xi.matrix
 
 
@@ -96,7 +98,7 @@ def test_key_map_matches_extract_syndrome(codes, hc_mode, error_type):
     assert len(bit_keys) == pc.N
 
     def key(bits):
-        e = ErrorPattern.from_packed(bits, pc.q.n, pc.L, error_type)
+        e = pattern_from_packed(bits, pc.q.n, pc.L, error_type)
         return product.extract_syndrome(pc, e).key
 
     assert bit_keys == [key(1 << bit) for bit in range(pc.N)]
@@ -118,7 +120,7 @@ def test_key_map_wide_keys():
     assert len(bit_keys) == pc.N == 1445
     bits = random.Random(85).sample(range(pc.N), 100)
     for bit in bits:
-        e = ErrorPattern.from_packed(1 << bit, pc.q.n, pc.L)
+        e = pattern_from_packed(1 << bit, pc.q.n, pc.L)
         assert bit_keys[bit] == product.extract_syndrome(pc, e).key
     assert max(bit_keys).bit_length() > 300
 
@@ -140,7 +142,7 @@ def test_column_helpers():
     assert e.column_weights() == [0, 2, 0, 0]
     assert sum(1 for w in e.column_weights() if w) == 1
     assert e.matrix.transpose().row_data[1] == 0b101
-    assert ErrorPattern.from_packed(e.packed(), 3, 4).matrix == e.matrix
+    assert pattern_from_packed(e.packed(), 3, 4).matrix == e.matrix
 
 
 @pytest.mark.parametrize("make", [

@@ -8,6 +8,8 @@ from qproduct import classical, gf2, quantum
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.quantum import PauliOp, pauli_from_string
 
+from helpers import q_syndrome, to_lists
+
 
 ALL_CODES = [quantum.rep3, quantum.steane, quantum.color17, quantum.golay_css]
 
@@ -25,7 +27,7 @@ def test_css_validity_and_rank(ctor):
 
 def test_rep3_matrices():
     q = quantum.rep3()
-    assert q.hz.to_lists() == [[1, 1, 0], [1, 0, 1]]
+    assert to_lists(q.hz) == [[1, 1, 0], [1, 0, 1]]
     assert q.hx.rows == 0
 
 
@@ -74,13 +76,13 @@ def test_distance_by_bounded_weight_search(ctor):
 
 def test_q_syndrome_identity_zero():
     q = quantum.steane()
-    sx, sz = quantum.q_syndrome(q, PauliOp(n=7))
+    sx, sz = q_syndrome(q, PauliOp(n=7))
     assert sx.is_zero() and sz.is_zero()
 
 
 def test_q_syndrome_steane_x6():
     q = quantum.steane()
-    sx, _ = quantum.q_syndrome(q, pauli_from_string("X6", 7))
+    sx, _ = q_syndrome(q, pauli_from_string("X6", 7))
     assert sx.row_bits(0) == [1, 0, 1]
 
 
@@ -94,7 +96,7 @@ def test_q_syndrome_color17_x1x3_row_reduced():
 
 def test_q_syndrome_length_mismatch():
     with pytest.raises(GF2Error, match="length"):
-        quantum.q_syndrome(quantum.steane(), PauliOp(n=5))
+        q_syndrome(quantum.steane(), PauliOp(n=5))
 
 
 def test_weight_le_t_detectable():
@@ -114,7 +116,7 @@ def test_steane_normalizer_includes_table_generators():
     # the weight-3 generator X2X3X5 commutes with the code yet is not a
     # stabilizer, and differs from the recorded logical by a stabilizer
     op = pauli_from_string("X2X3X5", 7)
-    sx, sz = quantum.q_syndrome(q, op)
+    sx, sz = q_syndrome(q, op)
     assert sx.is_zero() and sz.is_zero()
     stab = q.stabilizer_span("X")
     assert op.x not in stab
@@ -133,7 +135,7 @@ def test_normalizer_generators_zero_syndrome(ctor):
     q = ctor()
     for etype in ("X", "Z"):
         for op in quantum.normalizer_generators(q, etype):
-            sx, sz = quantum.q_syndrome(q, op)
+            sx, sz = q_syndrome(q, op)
             assert sx.is_zero() and sz.is_zero()
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo harness: interval math, sampling, and decode bookkeeping."""
 
 import dataclasses
+import functools
 import math
 import random
 
@@ -11,6 +12,8 @@ from qproduct import analytics, classical, decoder, product, quantum, sim
 from qproduct.gf2 import GF2Error
 from qproduct.product import ProductCode
 from qproduct.sim import TrialConfig
+
+from helpers import brute_nearest, pattern_from_packed, to_numpy
 
 
 def desk_instance():
@@ -74,11 +77,11 @@ def test_key_tables_match_extract_syndrome():
         assert tables.shape == (-(-pc.N // 8), 256)
         assert not tables[:, 0].any()
         for bit in range(pc.N):
-            e = product.ErrorPattern.from_packed(1 << bit, pc.q.n, pc.L)
+            e = pattern_from_packed(1 << bit, pc.q.n, pc.L)
             assert int(tables[bit // 8, 1 << (bit % 8)]) == product.extract_syndrome(pc, e).key
         for _ in range(50):
             packed = rng.getrandbits(pc.N)
-            e = product.ErrorPattern.from_packed(packed, pc.q.n, pc.L)
+            e = pattern_from_packed(packed, pc.q.n, pc.L)
             key = 0
             for j, table in enumerate(tables):
                 key ^= int(table[(packed >> (8 * j)) & 255])
@@ -225,13 +228,13 @@ def test_run_trials_report_invariants():
 
 def _key_matrix(hq, hc):
     """(n*L) x key_bits 0/1 map from vec(eps) bits to flattened syndrome bits."""
-    m = np.einsum("iq,rl->lqir", hq.to_numpy(), hc.to_numpy())
+    m = np.einsum("iq,rl->lqir", to_numpy(hq), to_numpy(hc))
     return m.reshape(hq.cols * hc.cols, hq.rows * hc.rows).astype(np.uint8)
 
 
 def reference_run_trials(cfg, table):
     """The per-shot loop that preceded the batch triage: every shot visits
-    Python, and min_distance mode decodes each in-class shot."""
+    Python, and min_distance mode decodes each in-class shot by brute force."""
     pc = cfg.pc
     hq, hc = pc.q.check_matrix(cfg.error_type), pc.h_c
     n, L = pc.q.n, pc.L
@@ -242,6 +245,7 @@ def reference_run_trials(cfg, table):
     entries = table.entries
     skip_zero = lookup and entries.get(0) == 0
     radius = pc.t_c - pc.t_src
+    nearest = functools.cache(lambda key: brute_nearest(entries, [key], radius)[0])
     noise_probs = sim._noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
     breakdown = {"class_misses": 0, "decode_errors": 0, "ambiguities": 0,
                  "noise_over_budget": 0, "degenerate_hits": 0}
@@ -279,7 +283,7 @@ def reference_run_trials(cfg, table):
                     failures += 1
                     breakdown["noise_over_budget"] += 1
                     continue
-                status, _, matched = decoder.nearest_key(table, key ^ flip, radius)
+                status, _, matched = nearest(key ^ flip)
                 stored = entries[matched] if status == "ok" else None
                 if status == "ambiguous":
                     cause = "ambiguities"
@@ -306,6 +310,14 @@ def _shifted_table():
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
     table.entries = {k: v ^ shift for k, v in table.entries.items()}
     return table
+
+
+def _desk_t_c_3_case():
+    """The desk code at t_C = 3 with its one-column table, which holds the
+    desk table's entries: a build over two or more columns aborts on a
+    syndrome conflict."""
+    pc = ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt", t_c=3)
+    return pc, {"p": 0.1}, product.build_lookup_table(pc, max_cols=1)
 
 
 def _tie_table():
@@ -338,9 +350,7 @@ TRIAGE_CASES = {
         desk_instance(), {"p": 0.05},
         product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6, entries={})),
     # t_C = 3 admits three-column normalizer elements: nonzero truth, zero key
-    "desk-normalizers-in-class": lambda: (
-        ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt", t_c=3),
-        {"p": 0.1}, product.build_lookup_table(desk_instance())),
+    "desk-normalizers-in-class": _desk_t_c_3_case,
 }
 
 
@@ -358,33 +368,39 @@ def test_run_trials_triage_matches_per_shot_loop(case, shots):
 
 
 def test_min_distance_cost_does_not_grow_with_shots(monkeypatch):
-    """Per-shot work stays packed: no ErrorPattern is built and ProductCode
-    derived matrices are read a fixed number of times per call."""
+    """Per-shot work stays packed: no ErrorPattern is built, one nearest_key
+    call decodes a whole batch, and ProductCode derived matrices are read a
+    fixed number of times per call."""
     pc = bch_steane()
     table = product.build_lookup_table(pc, max_cols=pc.t_src)
-    counts = {"from_packed": 0, "h_c": 0}
-    from_packed = product.ErrorPattern.from_packed.__func__
-    h_c = ProductCode.h_c.fget
+    counts = {"patterns": 0, "nearest_key": 0, "h_c": 0}
+    init, nearest_key, h_c = product.ErrorPattern.__init__, decoder.nearest_key, ProductCode.h_c.fget
 
-    def counting_from_packed(cls, *args, **kwargs):
-        counts["from_packed"] += 1
-        return from_packed(cls, *args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        counts["patterns"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_nearest_key(*args):
+        counts["nearest_key"] += 1
+        return nearest_key(*args)
 
     def counting_h_c(self):
         counts["h_c"] += 1
         return h_c(self)
 
-    monkeypatch.setattr(product.ErrorPattern, "from_packed", classmethod(counting_from_packed))
+    monkeypatch.setattr(product.ErrorPattern, "__init__", counting_init)
+    monkeypatch.setattr(decoder, "nearest_key", counting_nearest_key)
     monkeypatch.setattr(ProductCode, "h_c", property(counting_h_c))
-    reads = []
+    seen = []
     for shots in (2000, 20000):
-        counts.update(from_packed=0, h_c=0)
+        counts.update(patterns=0, nearest_key=0, h_c=0)
         sim.run_trials(TrialConfig(pc=pc, p=1e-3, shots=shots, seed=5,
                                    decode_mode="min_distance", syndrome_noise=True,
                                    p_e=1e-3), table)
-        assert counts["from_packed"] == 0
-        reads.append(counts["h_c"])
-    assert reads[0] == reads[1]
+        assert counts["patterns"] == 0
+        seen.append(dict(counts))
+    # one call for the all-zero outcome and one for the single batch
+    assert seen[0] == seen[1] and seen[0]["nearest_key"] == 2
 
 
 @pytest.mark.parametrize("make,max_cols,build_reads,cfg", [
@@ -448,13 +464,14 @@ def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
 @pytest.mark.parametrize("route", ["assign", "replace"])
 def test_table_indexes_follow_the_entries(mode, route):
     """A table emptied after a run decodes as a fresh empty table does:
-    neither the BK tree nor the sorted key arrays outlive their entries."""
+    neither the key words nor the sorted key arrays outlive their entries."""
     pc = bch_steane()
     table = product.build_lookup_table(pc, max_cols=pc.t_src if mode == "min_distance"
                                        else pc.t_c)
     cfg = TrialConfig(pc=pc, p=0.05, shots=2000, seed=1, decode_mode=mode)
     sim.run_trials(cfg, table)
-    assert (table.bk_index if mode == "min_distance" else table.key_arrays) is not None
+    assert table.key_arrays is not None
+    assert (table.key_words is not None) == (mode == "min_distance")
     if route == "assign":
         table.entries = {}
     else:
@@ -464,3 +481,35 @@ def test_table_indexes_follow_the_entries(mode, route):
     report = sim.run_trials(cfg, table)
     assert report == sim.run_trials(cfg, fresh)
     assert report.breakdown["decode_errors"] > 1000
+
+
+@pytest.mark.parametrize("mode", ["lookup", "min_distance"])
+def test_run_trials_refuses_a_table_of_another_code(mode):
+    """A bch:15:3pt x steane table against a hamming3pt x rep3 config used
+    to decode silently (2,188 decode errors at this seed)."""
+    pc = bch_steane()
+    table = product.build_lookup_table(pc, max_cols=pc.t_src)
+    cfg = TrialConfig(pc=desk_instance(), p=1e-2, shots=20000, seed=1, decode_mode=mode)
+    with pytest.raises(GF2Error, match="table built for c=bch:15:5, not hamming:7:4"):
+        sim.run_trials(cfg, table)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("pc", ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt", t_c=2),
+     "tc=2, not 3"),
+    ("pc", ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt", t_q=0),
+     "tq=0, not 1"),
+    ("pc", ProductCode(classical.bch(4, 3), quantum.color17(), hc_mode="pt"),
+     "q=color17, not steane"),
+    ("pc", ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="full"),
+     "mode=full, not pt"),
+    ("error_type", "Z", "type=Z, not X"),
+    ("key_bits", 29, "key_bits=29, not 30"),
+])
+def test_run_trials_table_mismatch_names_the_field(field, value, match):
+    """Each code field a table file pins, and the error type, is checked
+    and named."""
+    pc = bch_steane()
+    table = dataclasses.replace(product.build_lookup_table(pc, max_cols=1), **{field: value})
+    with pytest.raises(GF2Error, match=match):
+        sim.run_trials(TrialConfig(pc=pc, p=1e-2, shots=100, seed=1), table)
