@@ -127,6 +127,8 @@ def choose_bch(L: int, p: float, q: CssCode, mode: str = "correct") -> Classical
     m = L.bit_length()
     if m < 2 or (1 << m) - 1 != L:
         raise GF2Error(f"L={L} is not a BCH length 2^m - 1")
+    if not 0.0 <= p <= 1.0:
+        raise GF2Error(f"p={p} outside [0, 1]")
     budget = L * _column_tail(p, q.n, q.t, q.d, mode)
     p_l = p_logical(p, q.n)
     for t_c in range(1, (L - 1) // 2 + 1):

@@ -165,11 +165,13 @@ def cmd_decode(args) -> int:
         radius = pc.t_c - pc.t_src if args.radius is None else args.radius
         if radius < 0:
             raise GF2Error(f"--radius must be >= 0, got {radius}")
-    (status,), (distance,), (matched,) = (
+    elif args.radius is not None:
+        raise GF2Error("--radius requires --min-distance")
+    (status,), (distance,), (correction,) = (
         a.tolist() for a in decoder.nearest_key(table, [key], radius))
     out = {"status": status, "distance": distance}
     if status == "ok":
-        out["correction"] = gf2.int_to_bitstring(table.entries[matched], pc.q.n * pc.L)
+        out["correction"] = gf2.int_to_bitstring(correction, pc.q.n * pc.L)
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import classical
 from .gf2 import GF2Error
-from .product import LookupTable, ProductCode, ProductSyndrome
+from .product import LookupTable, ProductCode, ProductSyndrome, as_words, int_array
 
 
 class LocalizationError(GF2Error):
@@ -28,46 +28,30 @@ BLOCK_ELEMENTS = 1 << 18  # cap on the (queries, keys, words) elements of one di
 _STATUS = np.array(["ok", "ambiguous", "not_found"])
 
 
-def _words(keys: np.ndarray, w: int) -> np.ndarray:
-    """(len(keys), w) uint64 words of nonnegative keys, low word first."""
-    if keys.dtype != object:  # int64 keys fill the low word
-        out = np.zeros((len(keys), w), dtype=np.uint64)
-        out[:, 0] = keys
-        return out
-    blob = b"".join(k.to_bytes(8 * w, "little") for k in keys)
-    return np.frombuffer(blob, dtype="<u8").reshape(len(keys), w)
-
-
 def nearest_key(table: LookupTable, keys, radius: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Table decode of a batch of keys: (status, distance, matched key)
-    arrays, one entry per key, for the unique stored key nearest to each
-    within the Hamming ``radius``; the correction is
-    ``table.entries[matched key]``.
+    """Table decode of a batch of keys: (status, distance, correction)
+    arrays, one entry per key, from the unique stored key nearest to each
+    within the Hamming ``radius``.
 
     Status is 'ok', 'not_found' or 'ambiguous'; equal-distance ties are
     surfaced, never broken.  The distance is -1 where no stored key lies
-    within the radius, the matched key -1 unless the status is 'ok'.
+    within the radius, the correction -1 unless the status is 'ok'.
     Radius 0 is exact lookup in ``table.entries`` and builds no index; a
     negative radius finds nothing.  A positive radius XORs the keys against
-    ``table.key_words``, the sorted stored keys as an (entries, words)
-    uint64 matrix, counts the set bits and takes each key's minimum, tie
-    count and argmin, in blocks of at most BLOCK_ELEMENTS elements (or one
-    key).  Keys are nonnegative ints: an int64 array, or any sequence.
+    the words of ``table.index``, counts the set bits and takes each key's
+    minimum, tie count and argmin, in blocks of at most BLOCK_ELEMENTS
+    elements (or one key).  Keys are nonnegative ints in any sequence.
     """
     if not (isinstance(keys, np.ndarray) and keys.dtype == np.int64):  # ints of any width
         keys = np.array([int(k) for k in keys], dtype=object)
     if radius <= 0 or not table.entries:  # exact lookup; an empty table finds nothing
-        hit = np.array([radius == 0 and k in table.entries for k in keys.tolist()],
-                       dtype=bool)
-        return (np.where(hit, "ok", "not_found"), np.where(hit, 0, -1),
-                np.where(hit, keys, -1))
-    if table.key_words is None:
-        stored = np.array(sorted(table.entries),
-                          dtype=np.int64 if table.key_bits < 64 else object)
-        table.key_words = stored, _words(stored, max(1, -(-table.key_bits // 64)))
-    stored, words = table.key_words
-    queries = _words(keys, words.shape[1])
+        entries = table.entries if radius == 0 else {}
+        correction = int_array([entries.get(k, -1) for k in keys.tolist()])
+        hit = correction >= 0
+        return np.where(hit, "ok", "not_found"), np.where(hit, 0, -1), correction
+    words, values = table.index
+    queries = as_words(keys, words.shape[1])
     best = np.empty(len(keys), dtype=np.intp)
     ties = np.empty(len(keys), dtype=np.intp)
     pos = np.empty(len(keys), dtype=np.intp)
@@ -79,7 +63,7 @@ def nearest_key(table: LookupTable, keys, radius: int
         ties[lo:lo + step] = (dist == low[:, None]).sum(axis=1)
         pos[lo:lo + step] = dist.argmin(axis=1)
     code = np.where(best > radius, 2, np.where(ties > 1, 1, 0))
-    return _STATUS[code], np.where(code < 2, best, -1), np.where(code == 0, stored[pos], -1)
+    return _STATUS[code], np.where(code < 2, best, -1), np.where(code == 0, values[pos], -1)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ import hashlib
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import classical, gf2, quantum
 from .classical import ClassicalCode
@@ -212,32 +214,39 @@ def class_E_size(pc: ProductCode, max_cols: int | None = None) -> int:
     return sum(math.comb(pc.L, c) * per_col ** c for c in range(max_cols + 1))
 
 
-@dataclass
+def int_array(values: list[int]) -> np.ndarray:
+    """Ints as an int64 array, or as an object array if one needs 64 bits."""
+    return np.array(values, dtype=np.int64 if max(values, default=0) < 1 << 63 else object)
+
+
+def as_words(keys, w: int) -> np.ndarray:
+    """(len(keys), w) uint64 words of nonnegative keys, low word first."""
+    if w == 1:
+        return np.array(keys, dtype=np.uint64).reshape(-1, 1)
+    blob = b"".join(int(k).to_bytes(8 * w, "little") for k in keys)
+    return np.frombuffer(blob, dtype="<u8").reshape(len(keys), w)
+
+
+@dataclass(frozen=True)
 class LookupTable:
     """Flattened product syndrome -> packed correction pattern.
 
     Keys and values are the integer packings of ProductSyndrome.key and
-    ErrorPattern.packed().  Two indexes are built from ``entries`` on first
-    use: ``key_words``, the sorted keys and their uint64 words, which
-    ``decoder.nearest_key`` scans at a positive radius, and ``key_arrays``,
-    the sorted key and value arrays ``sim.run_trials`` searches.  Assigning
-    ``entries`` drops both, and ``dataclasses.replace`` starts without them.
-    Edit a table by assigning a new dict, not by changing ``entries`` in place.
+    ErrorPattern.packed().  Frozen, so ``index`` cannot outlive ``entries``:
+    edit a table with ``dataclasses.replace``, never in place.
     """
 
     pc: ProductCode
     error_type: str
     key_bits: int
     entries: dict[int, int]
-    max_cols: int = -1  # cap on columns hit the table was built with (-1: pc.t_c)
-    key_words: object = field(default=None, init=False, repr=False, compare=False)
-    key_arrays: object = field(default=None, init=False, repr=False, compare=False)
+    max_cols: int  # cap on columns hit the table was built with
 
-    def __setattr__(self, name, value):
-        if name == "entries":  # the indexes belong to the entries they came from
-            object.__setattr__(self, "key_words", None)
-            object.__setattr__(self, "key_arrays", None)
-        object.__setattr__(self, name, value)
+    @functools.cached_property
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys' uint64 words and their corrections, built on first use."""
+        return (as_words(list(self.entries), max(1, -(-self.key_bits // 64))),
+                int_array(list(self.entries.values())))
 
 
 def build_lookup_table(pc: ProductCode, error_type: str = "X",
@@ -370,9 +379,13 @@ def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:
             raise GF2Error(f"{path}: header {name}={fields[name]} does not match {want}")
     if not 0 <= max_cols <= pc.t_c:
         raise GF2Error(f"{path}: mc={max_cols} outside [0, t_c={pc.t_c}]")
-    return LookupTable(pc=pc, error_type=fields["type"],
-                       key_bits=int(expected["key_bits"]), entries=entries,
-                       max_cols=max_cols)
+    key_bits = int(expected["key_bits"])
+    for name, values, bits in (("key", entries.keys(), key_bits),
+                               ("correction", entries.values(), pc.q.n * int(expected["L"]))):
+        if values and (min(values) < 0 or max(values) >> bits):
+            raise GF2Error(f"{path}: a record's {name} is outside [0, 2^{bits})")
+    return LookupTable(pc=pc, error_type=fields["type"], key_bits=key_bits,
+                       entries=entries, max_cols=max_cols)
 
 
 # -- channel coding of the measured syndrome --------------------------------

@@ -5,11 +5,11 @@ measurement noise), runs the table decoders, and reports empirical failure
 rates with Wilson 95% intervals against the closed-form prediction.
 
 Each batch packs its error patterns and syndrome flips into int64 values
-and triages only the nonzero shots (keys from per-byte XOR tables, weights
-from a byte popcount table); all-zero shots share one outcome, decided once
-per call.  Min-distance mode first turns a batch's keys into their nearest
-stored keys with one ``decoder.nearest_key`` call; both modes then read the
-table with one vectorised search.
+and triages only the nonzero shots (keys from per-byte XOR tables); all-zero
+shots share one outcome, decided once per call.  One ``decoder.nearest_key``
+call per batch turns the keys into stored corrections: at radius 0, exact
+lookup, in lookup mode, and within the corruption budget t_C - t_src in
+min-distance mode.
 
 Randomness comes from numpy's Philox counter-based generator, so streams
 are reproducible bit-exactly from the 64-bit seed on any platform.
@@ -92,7 +92,6 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 _BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1  # [i, v]: bit i of byte value v
-_POP8 = _BYTE_BITS.sum(axis=0)
 
 
 def _key_tables(bit_keys: list[int]) -> np.ndarray:
@@ -100,11 +99,6 @@ def _key_tables(bit_keys: list[int]) -> np.ndarray:
     value v of byte j, from ``product.key_map``'s key of each vec bit."""
     keys = np.array(bit_keys + [0] * (-len(bit_keys) % 8), dtype=np.int64)  # whole bytes
     return np.bitwise_xor.reduce(keys.reshape(-1, 8, 1) * _BYTE_BITS, axis=1)
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each value of a nonnegative int64 array, read per byte."""
-    return _POP8[x[..., None].view(np.uint8)].sum(axis=-1)
 
 
 def _noise_probs(hq: BitMatrix, hc: BitMatrix, p_e: float) -> np.ndarray:
@@ -129,37 +123,27 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     key_tables = _key_tables(key_map(hq, hc))
     span = pc.q.stabilizer_span(cfg.error_type)
-    radius = pc.t_c - pc.t_src
+    radius = pc.t_c - pc.t_src if cfg.decode_mode == "min_distance" else 0  # 0: exact lookup
     noise_probs = _noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
 
     def charge(truths, flips, counts):
         """Add the outcomes of shots with packed truths and flips to counts."""
         cols = (truths[:, None] >> (np.arange(L) * n)) & ((1 << n) - 1)
         hit = np.count_nonzero(cols, axis=1)
-        live = (_popcount(cols) <= pc.t_q).all(axis=1) & (hit <= pc.t_c)
+        live = (np.bitwise_count(cols) <= pc.t_q).all(axis=1) & (hit <= pc.t_c)
         counts["class_misses"] += len(truths) - int(live.sum())
         if cfg.syndrome_noise:
-            over = live & ~((hit <= pc.t_src) & (_popcount(flips) <= radius))
+            over = live & ~((hit <= pc.t_src) & (np.bitwise_count(flips) <= radius))
             counts["noise_over_budget"] += int(over.sum())
             live &= ~over
         truths, keys = truths[live], flips[live]
         for j, key_table in enumerate(key_tables):
             keys ^= key_table[(truths >> (8 * j)) & 255]
-        ambiguous = 0
-        if cfg.decode_mode == "min_distance":  # each key becomes its nearest stored key
-            status, _, keys = decoder.nearest_key(table, keys, radius)
-            ambiguous = int(np.count_nonzero(status == "ambiguous"))
-        if table.key_arrays is None:  # key -1 pads an empty table
-            items = sorted(table.entries.items()) or [(-1, 0)]
-            table.key_arrays = np.array(items, dtype=np.int64).T.copy()
-        stored_keys, values = table.key_arrays  # one search over the sorted stored keys
-        pos = np.minimum(np.searchsorted(stored_keys, keys), len(stored_keys) - 1)
-        # key -1, no unique stored key within the radius, matches nothing
-        found, stored = (stored_keys[pos] == keys) & (keys >= 0), values[pos]
-        counts["ambiguities"] += ambiguous
-        counts["decode_errors"] += len(keys) - int(found.sum()) - ambiguous
+        status, _, stored = decoder.nearest_key(table, keys, radius)
+        counts["ambiguities"] += int(np.count_nonzero(status == "ambiguous"))
+        counts["decode_errors"] += int(np.count_nonzero(status == "not_found"))
         # one classification of stored against true correction, both modes
-        wrong = found & (stored != truths)
+        wrong = (status == "ok") & (stored != truths)
         for diff in (stored[wrong] ^ truths[wrong]).tolist():
             degenerate = quantum.differs_by_stabilizers(diff, n, span)
             counts["degenerate_hits" if degenerate else "decode_errors"] += 1

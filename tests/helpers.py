@@ -70,7 +70,7 @@ def verification_matrix(n: int) -> BitMatrix:
 
 
 def brute_nearest(entries, keys, radius: int) -> list[tuple[str, int, int]]:
-    """decoder.nearest_key's answers, one (status, distance, matched key)
+    """decoder.nearest_key's answers, one (status, distance, correction)
     tuple per key, from the distance of each key to every stored key."""
     out = []
     for key in keys:
@@ -78,6 +78,6 @@ def brute_nearest(entries, keys, radius: int) -> list[tuple[str, int, int]]:
         best = min((d for d, _ in dist), default=radius + 1)
         nearest = [k for d, k in dist if d == best]
         out.append(("not_found", -1, -1) if best > radius
-                   else ("ok", best, nearest[0]) if len(nearest) == 1
+                   else ("ok", best, entries[nearest[0]]) if len(nearest) == 1
                    else ("ambiguous", best, -1))
     return out

@@ -136,11 +136,11 @@ def test_criterion_06_noisy_syndrome_sweep():
     flips = [1 << i for i in range(bits)]
     flips += [(1 << i) | (1 << j)
               for i, j in itertools.combinations(range(bits), 2)]
-    for key in table.entries:
-        status, _, matched = decoder.nearest_key(table, [key ^ f for f in flips],
-                                                 pc.t_c - pc.t_src)
+    for key, value in table.entries.items():
+        status, _, correction = decoder.nearest_key(table, [key ^ f for f in flips],
+                                                    pc.t_c - pc.t_src)
         total += len(flips)
-        bad += int(((status != "ok") | (matched != key)).sum())
+        bad += int(((status != "ok") | (correction != value)).sum())
     elapsed = time.perf_counter() - start
     report(6, f"all {total} <=2-bit key corruptions over {len(table.entries)} "
               f"keys decode to the original entry ({elapsed:.1f}s)",
@@ -273,10 +273,10 @@ def test_criterion_11_oracle_suites():
                 bm_ok = False
         elif got is not None:
             bm_ok = False
-    # nearest-key scan vs linear scan
+    # nearest-key scan vs linear scan; each key is stored as its own correction
     keys = rng.sample(range(1 << 20), 10 ** 4)
     table = product.LookupTable(pc=desk_instance(), error_type="X", key_bits=20,
-                                entries=dict.fromkeys(keys, 0))
+                                entries={k: k for k in keys}, max_cols=1)
     nk_ok = True
     for _ in range(100):
         probe = rng.randrange(1 << 20)

@@ -197,6 +197,17 @@ def test_analyze_failure_curve(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("overhead", "--p", "2"),         # printed "failure_prob": 512.0
+    ("overhead", "--p", "-0.5"),
+    ("failure", "--pmin-exp", "-1"),  # p = 10 raised an OverflowError
+])
+def test_analyze_rejects_probability_outside_unit_interval(capsys, argv):
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "outside [0, 1]" in err
+
+
 def test_simulate_command(capsys, tmp_path):
     cfg = {"c": "hamming3pt", "q": "rep3", "p": 0.01, "shots": 2000,
            "seed": 42}
@@ -330,3 +341,35 @@ def test_decode_rejects_negative_radius(capsys, desk_table, radius):
                                   "--min-distance", "--radius", radius)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "--radius" in err
+
+
+def test_decode_radius_requires_min_distance(capsys, desk_table):
+    """--radius alone used to run an exact lookup silently."""
+    code, out, err = _decode_desk(capsys, desk_table, "--c", "hamming3pt", "--radius", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--radius requires --min-distance" in err
+
+
+NOISY = ("--c", "bch:15:3pt", "--q", "steane", "--tsrc", "1")
+
+
+@pytest.mark.parametrize("record,flags", [
+    ("{wide:x} {v:x}", ["--min-distance"]),  # was an OverflowError traceback
+    ("{wide:x} {v:x}", []),                  # was a silent not_found
+    ("{k:x} {v_wide:x}", []),                # printed a truncated correction, status ok
+    ("-{k:x} {v:x}", ["--min-distance"]),
+], ids=["wide-key-nearest", "wide-key-exact", "wide-correction", "negative-key"])
+def test_decode_rejects_a_record_outside_its_width(capsys, tmp_path, record, flags):
+    """One record of the 30-bit bch:15:3pt x steane table (35-bit corrections)
+    holds bit 70 in its key, bit 199 in its correction, or a minus sign."""
+    path = tmp_path / "noisy.lut"
+    assert run(capsys, "product", "build-table", *NOISY, "--max-cols", "1",
+               "--out", str(path))[0] == 0
+    header, first, second, *rest = path.read_text().splitlines()
+    k, v = (int(x, 16) for x in second.split())
+    second = record.format(k=k, v=v, wide=k | 1 << 70, v_wide=v | 1 << 199)
+    path.write_text("\n".join([header, first, second, *rest]) + "\n")
+    code, out, err = run(capsys, "decode", "--table", str(path), *NOISY, *flags,
+                         "--syndrome", gf2.int_to_bitstring(k, 30))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "is outside [0, 2^" in err

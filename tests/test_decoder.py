@@ -19,20 +19,23 @@ def pattern(pc, bits):
 
 
 def nearest(table, keys, radius):
-    """decoder.nearest_key's batch answer as one (status, distance, key) tuple per key."""
+    """decoder.nearest_key's batch answer as one (status, distance, correction)
+    tuple per key."""
     return list(zip(*(a.tolist() for a in decoder.nearest_key(table, keys, radius))))
 
 
 def key_table(keys, key_bits):
+    """Each key stored as its own correction, so a wrong match shows."""
     pc = ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
     return product.LookupTable(pc=pc, error_type="X", key_bits=key_bits,
-                               entries=dict.fromkeys(keys, 0))
+                               entries={k: k for k in keys}, max_cols=1)
 
 
 # -- the nearest-key kernel against a linear scan ---------------------------------
 
 def linear_scan(keys, key, radius):
-    """nearest_key's answer from the (key, distance) pairs within the radius."""
+    """nearest_key's answer on a key_table from the (key, distance) pairs
+    within the radius."""
     within = [(k, (k ^ key).bit_count()) for k in keys if (k ^ key).bit_count() <= radius]
     if not within:
         return ("not_found", -1, -1)
@@ -56,7 +59,7 @@ def test_nearest_key_empty_table():
     table = key_table([], 16)
     for radius in (0, 5):
         assert nearest(table, [123, 0], radius) == [("not_found", -1, -1)] * 2
-        assert table.key_words is None
+        assert "index" not in vars(table)
     assert nearest(table, [], 5) == []
 
 
@@ -112,9 +115,7 @@ def test_lookup_decode_roundtrip_and_miss():
     pc, table = desk_table()
     e = pattern(pc, 1 << 1)
     key = product.extract_syndrome(pc, e).key
-    [(status, distance, matched)] = nearest(table, [key], 0)
-    assert status == "ok" and table.entries[matched] == e.packed()
-    assert distance == 0 and matched == key
+    assert nearest(table, [key], 0) == [("ok", 0, e.packed())]
     absent = next(k for k in range(1 << 6) if k not in table.entries)
     assert nearest(table, [absent], 0) == [("not_found", -1, -1)]
 
@@ -131,13 +132,13 @@ def test_min_distance_decode_exact_and_corrupted():
     keys = sorted(table.entries)
     bits = table.key_bits
     radius = pc.t_c - pc.t_src
-    assert nearest(table, keys, radius) == [("ok", 0, key) for key in keys]
-    # every 1-bit and a stride of 2-bit corruptions return the true key
+    assert nearest(table, keys, radius) == [("ok", 0, table.entries[key]) for key in keys]
+    # every 1-bit and a stride of 2-bit corruptions return the true key's correction
     for key in keys[::5]:
         ones = nearest(table, [key ^ (1 << i) for i in range(bits)], radius)
-        assert ones == [("ok", 1, key)] * bits
+        assert ones == [("ok", 1, table.entries[key])] * bits
         twos = [key ^ (1 << i) ^ (1 << j) for i, j in itertools.combinations(range(bits), 2)]
-        assert nearest(table, twos, radius) == [("ok", 2, key)] * len(twos)
+        assert nearest(table, twos, radius) == [("ok", 2, table.entries[key])] * len(twos)
 
 
 def test_min_distance_decode_not_found():
@@ -149,7 +150,7 @@ def test_min_distance_decode_not_found():
 def test_min_distance_decode_ambiguous_tie():
     pc, _ = desk_table()
     table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
-                                entries={0b0011: 1, 0b0101: 2})
+                                entries={0b0011: 1, 0b0101: 2}, max_cols=1)
     # a tie names no key, so there is no correction to read
     assert nearest(table, [0b0001], 1) == [("ambiguous", 1, -1)]
 
@@ -175,7 +176,7 @@ def assert_nearest_matches_brute(table, keys, radius):
 def test_nearest_key_exhaustive_on_desk_and_tie_tables(radius):
     pc, table = desk_table()
     tie = product.LookupTable(pc=pc, error_type="X", key_bits=6,
-                              entries={0b01: 0, 0b10: 0})
+                              entries={0b01: 0b01, 0b10: 0b10}, max_cols=1)
     for t in (table, tie):
         assert_nearest_matches_brute(t, list(range(1 << 6)), radius)
 
@@ -192,15 +193,17 @@ def test_nearest_key_near_every_stored_key():
 
 def test_nearest_key_radius_zero_builds_no_index():
     """Exact lookup reads table.entries alone; a positive radius builds the
-    key words once, and an exact hit there is the unique nearest key."""
+    index once, and an exact hit there is the unique nearest key."""
     pc, table = noisy_table()
     key = sorted(table.entries)[3]
-    assert nearest(table, [key, key ^ 1], 0) == [("ok", 0, key), ("not_found", -1, -1)]
+    hit = ("ok", 0, table.entries[key])
+    assert nearest(table, [key, key ^ 1], 0) == [hit, ("not_found", -1, -1)]
     assert nearest(table, [key], -1) == [("not_found", -1, -1)]
-    assert table.key_words is None
-    assert nearest(table, [key], 2) == [("ok", 0, key)]
-    stored, words = table.key_words
-    assert stored.tolist() == sorted(table.entries) and words.shape == (36, 1)
+    assert "index" not in vars(table)
+    assert nearest(table, [key], 2) == [hit]
+    words, values = table.index
+    assert words.shape == (36, 1) and words[:, 0].tolist() == list(table.entries)
+    assert values.tolist() == list(table.entries.values())
 
 
 # -- localization -------------------------------------------------------------

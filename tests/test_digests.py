@@ -26,6 +26,9 @@ REPORTS = [
       "seed": 5, "syndrome_noise": True, "p_e": 0.003,
       "decode_mode": "min_distance"},
      "946447840f3f266bf0488c50812c6f92430380fafa50ccbfe73cd1b6811e0355"),
+    # lookup mode against a table whose entries hit up to t_C = 3 columns
+    ({"c": "bch:15:3pt", "q": "steane", "p": 0.01, "shots": 20000, "seed": 5},
+     "fe87ab1209c58a77bf3681f73149fe1d0f2e8486f912d28e31c298b7565f1961"),
 ]
 
 
@@ -43,7 +46,7 @@ def test_table_file_digest(capsys, tmp_path, args, digest):
 
 
 @pytest.mark.parametrize("config,digest", REPORTS,
-                         ids=["desk-lookup", "bch15pt-noisy"])
+                         ids=["desk-lookup", "bch15pt-noisy", "bch15pt-lookup"])
 def test_simulate_report_digest(capsys, tmp_path, config, digest):
     cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
     cfg.write_text(json.dumps(config))

@@ -251,6 +251,19 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.max_cols == table.max_cols
 
 
+def test_constructed_table_saves_and_reloads(tmp_path):
+    """A table made without build_lookup_table names its column cap: the
+    cap had a default of -1, saved as mc=-1, which the loader refused."""
+    pc = desk_instance()
+    with pytest.raises(TypeError, match="max_cols"):
+        product.LookupTable(pc=pc, error_type="X", key_bits=6, entries={0: 0})
+    table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
+                                entries={0: 0, 0b000101: 0b10}, max_cols=1)
+    path = str(tmp_path / "t.lut")
+    product.save_lookup_table(table, path)
+    assert product.load_lookup_table(path, pc) == table
+
+
 def test_load_rejects_wrong_product(tmp_path):
     pc = desk_instance()
     path = str(tmp_path / "desk.lut")

@@ -88,16 +88,6 @@ def test_key_tables_match_extract_syndrome():
             assert key == product.extract_syndrome(pc, e).key
 
 
-def test_popcount_matches_bit_count():
-    rng = random.Random(2)
-    values = [0, 1, 255, 256, (1 << 62) - 1] + [rng.getrandbits(62) for _ in range(200)]
-    got = sim._popcount(np.array(values, dtype=np.int64))
-    assert got.tolist() == [v.bit_count() for v in values]
-    grid = np.array(values[:200], dtype=np.int64).reshape(40, 5)
-    assert sim._popcount(grid).tolist() == [[v.bit_count() for v in row]
-                                            for row in grid.tolist()]
-
-
 def test_pack_width_guard():
     with pytest.raises(GF2Error, match="int64"):
         sim._pack(np.zeros((1, 80), dtype=np.uint8))
@@ -198,7 +188,7 @@ def test_run_trials_stabilizer_shifted_table_hits_are_degenerate(mode):
                      t_src=1)
     table = product.build_lookup_table(pc)
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
-    table.entries = {k: v ^ shift for k, v in table.entries.items()}
+    table = dataclasses.replace(table, entries={k: v ^ shift for k, v in table.entries.items()})
     rep = sim.run_trials(TrialConfig(pc=pc, p=0.02, shots=2000, seed=3,
                                      decode_mode=mode), table)
     assert rep.failures == rep.breakdown["class_misses"]
@@ -210,7 +200,7 @@ def test_run_trials_ties_charged_as_ambiguities():
     every shot fails and the zero-syndrome shots (most of them) are ties."""
     pc = desk_instance()
     table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
-                                entries={0b01: 0, 0b10: 0})
+                                entries={0b01: 0, 0b10: 0}, max_cols=1)
     rep = sim.run_trials(TrialConfig(pc=pc, p=0.01, shots=1000, seed=4,
                                      decode_mode="min_distance"), table)
     causes = ("class_misses", "decode_errors", "ambiguities")
@@ -283,8 +273,8 @@ def reference_run_trials(cfg, table):
                     failures += 1
                     breakdown["noise_over_budget"] += 1
                     continue
-                status, _, matched = nearest(key ^ flip)
-                stored = entries[matched] if status == "ok" else None
+                status, _, correction = nearest(key ^ flip)
+                stored = correction if status == "ok" else None
                 if status == "ambiguous":
                     cause = "ambiguities"
             if stored == truth:
@@ -308,8 +298,7 @@ def _shifted_table():
     pc = bch_steane()
     table = product.build_lookup_table(pc)
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
-    table.entries = {k: v ^ shift for k, v in table.entries.items()}
-    return table
+    return dataclasses.replace(table, entries={k: v ^ shift for k, v in table.entries.items()})
 
 
 def _desk_t_c_3_case():
@@ -322,7 +311,7 @@ def _desk_t_c_3_case():
 
 def _tie_table():
     return product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6,
-                               entries={0b01: 0, 0b10: 0})
+                               entries={0b01: 0, 0b10: 0}, max_cols=1)
 
 
 TRIAGE_CASES = {
@@ -348,7 +337,8 @@ TRIAGE_CASES = {
     "steane-hamming-full-lookup": lambda: (steane_hamming_full(), {"p": 0.01}, None),
     "empty-table-lookup": lambda: (
         desk_instance(), {"p": 0.05},
-        product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6, entries={})),
+        product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6, entries={},
+                            max_cols=1)),
     # t_C = 3 admits three-column normalizer elements: nonzero truth, zero key
     "desk-normalizers-in-class": _desk_t_c_3_case,
 }
@@ -431,15 +421,17 @@ def test_h_c_reads_per_call(monkeypatch, make, max_cols, build_reads, cfg):
 
 
 def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
-    """Lookup mode reads the table without the nearest-key core, and only
-    shots whose stored correction differs from the truth reach the
+    """Lookup mode reads the table with one exact (radius 0) nearest_key
+    call per batch and one for the all-zero outcome, builds no index, and
+    only shots whose stored correction differs from the truth reach the
     stabilizer-equivalence test."""
     calls = {"nearest_key": 0, "differs": 0}
     nearest_key, differs = decoder.nearest_key, quantum.differs_by_stabilizers
 
-    def counting_nearest_key(*args):
+    def counting_nearest_key(table, keys, radius):
         calls["nearest_key"] += 1
-        return nearest_key(*args)
+        assert radius == 0
+        return nearest_key(table, keys, radius)
 
     def counting_differs(*args):
         calls["differs"] += 1
@@ -449,11 +441,12 @@ def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
     monkeypatch.setattr(quantum, "differs_by_stabilizers", counting_differs)
     pc = desk_instance()
     table = product.build_lookup_table(pc)
-    for shots in (2000, 20000):
+    for shots in (2000, 20000, 2 * sim.BATCH + 1):
         calls.update(nearest_key=0, differs=0)
         rep = sim.run_trials(TrialConfig(pc=pc, p=0.05, shots=shots, seed=7), table)
         assert rep.breakdown["class_misses"] > 0
-        assert calls["nearest_key"] == 0
+        assert calls["nearest_key"] == 1 + -(-shots // sim.BATCH)
+        assert "index" not in vars(table)
         # with the desk table every in-class key is stored, so a failure
         # with a stored entry is a decode error
         assert calls["differs"] == (rep.breakdown["degenerate_hits"]
@@ -463,19 +456,21 @@ def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
 @pytest.mark.parametrize("mode", ["lookup", "min_distance"])
 @pytest.mark.parametrize("route", ["assign", "replace"])
 def test_table_indexes_follow_the_entries(mode, route):
-    """A table emptied after a run decodes as a fresh empty table does:
-    neither the key words nor the sorted key arrays outlive their entries."""
+    """A frozen table refuses new entries, and one emptied with
+    dataclasses.replace after a run decodes as a fresh empty table does:
+    the index does not outlive its entries."""
     pc = bch_steane()
     table = product.build_lookup_table(pc, max_cols=pc.t_src if mode == "min_distance"
                                        else pc.t_c)
     cfg = TrialConfig(pc=pc, p=0.05, shots=2000, seed=1, decode_mode=mode)
-    sim.run_trials(cfg, table)
-    assert table.key_arrays is not None
-    assert (table.key_words is not None) == (mode == "min_distance")
+    before = sim.run_trials(cfg, table)
+    assert ("index" in vars(table)) == (mode == "min_distance")  # radius 0 builds none
     if route == "assign":
-        table.entries = {}
-    else:
-        table = dataclasses.replace(table, entries={})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.entries = {}
+        assert sim.run_trials(cfg, table) == before
+        return
+    table = dataclasses.replace(table, entries={})
     fresh = product.LookupTable(pc=pc, error_type="X", key_bits=table.key_bits,
                                 entries={}, max_cols=table.max_cols)
     report = sim.run_trials(cfg, table)
