@@ -11,7 +11,6 @@ from .classical import ClassicalCode, GaloisField, StandardArray
 from .quantum import CosetTable, CssCode, PauliOp
 from .product import ErrorPattern, LookupTable, ProductCode, ProductSyndrome
 from .decoder import LocalizationResult
-from .analytics import ErrorModel, OverheadReport
 from .circuit import PauliFrame, SyndromeCircuit
 from .sim import TrialConfig, TrialReport
 
@@ -21,6 +20,6 @@ __all__ = [
     "BitMatrix", "GF2Error", "ClassicalCode", "GaloisField", "StandardArray",
     "CosetTable", "CssCode", "PauliOp", "ErrorPattern", "LookupTable",
     "ProductCode", "ProductSyndrome", "LocalizationResult",
-    "ErrorModel", "OverheadReport", "PauliFrame", "SyndromeCircuit",
-    "TrialConfig", "TrialReport", "__version__",
+    "PauliFrame", "SyndromeCircuit", "TrialConfig", "TrialReport",
+    "__version__",
 ]

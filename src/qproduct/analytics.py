@@ -3,7 +3,8 @@
 Binomial tail models for per-logical-qubit and block-level error weights,
 the BCH selection criterion, syndrome-qubit overhead accounting (plain and
 Shor-style fault-tolerant), the odd-parity syndrome bit-flip probability,
-Poisson-binomial tails, and Shannon/hashing bound margins.
+Poisson-binomial tails, and Shannon/hashing bound margins.  Every model
+takes plain float probabilities, each guarded by ``check_probability``.
 """
 
 from __future__ import annotations
@@ -23,24 +24,10 @@ from .quantum import CssCode
 EPS_FLOOR = 1e-16
 
 
-@dataclass(frozen=True)
-class ErrorModel:
-    """Independent Bernoulli noise parameters.
-
-    p: per-qubit, per-type Pauli error probability.
-    p_e: per-two-qubit-gate encoding error probability (syndrome flips).
-    p_m: measurement-channel bit-flip probability (channel coding).
-    """
-
-    p: float
-    p_e: float = 0.0
-    p_m: float = 0.0
-
-    def __post_init__(self):
-        for name in ("p", "p_e", "p_m"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise GF2Error(f"{name}={v} outside [0, 1]")
+def check_probability(name: str, value: float) -> None:
+    """Raise GF2Error unless value is a probability in [0, 1] (NaN is not)."""
+    if not 0.0 <= value <= 1.0:
+        raise GF2Error(f"{name}={value} outside [0, 1]")
 
 
 def binomial_tail(p: float, n: int, t: int) -> float:
@@ -67,15 +54,14 @@ def _column_tail(p: float, n: int, t: int, d: int, mode: str) -> float:
     raise GF2Error(f"mode must be 'correct' or 'localize', got {mode!r}")
 
 
-def failure_probability(model: ErrorModel | float, pc: ProductCode,
-                        mode: str = "correct") -> float:
+def failure_probability(p: float, pc: ProductCode, mode: str = "correct") -> float:
     """P_F = L P1 + P2 - L P1 P2 for one error type.
 
     P1 is the per-column over-budget probability (radius t_Q in 'correct'
     mode, distance d_Q in 'localize' mode, where heavier columns are still
     detected) and P2 the probability of more than t_C columns hit.
     """
-    p = model.p if isinstance(model, ErrorModel) else model
+    check_probability("p", p)
     n = pc.q.n
     L = pc.L  # each read rebuilds P^T
     p1 = _column_tail(p, n, pc.t_q, pc.q.d, mode)
@@ -127,8 +113,7 @@ def choose_bch(L: int, p: float, q: CssCode, mode: str = "correct") -> Classical
     m = L.bit_length()
     if m < 2 or (1 << m) - 1 != L:
         raise GF2Error(f"L={L} is not a BCH length 2^m - 1")
-    if not 0.0 <= p <= 1.0:
-        raise GF2Error(f"p={p} outside [0, 1]")
+    check_probability("p", p)
     budget = L * _column_tail(p, q.n, q.t, q.d, mode)
     p_l = p_logical(p, q.n)
     for t_c in range(1, (L - 1) // 2 + 1):
@@ -137,21 +122,7 @@ def choose_bch(L: int, p: float, q: CssCode, mode: str = "correct") -> Classical
     raise GF2Error(f"no feasible t_C <= {(L - 1) // 2} for L={L}, p={p}")
 
 
-@dataclass(frozen=True)
-class OverheadReport:
-    """Syndrome-qubit accounting for one product-code instance."""
-
-    L: int
-    classical_id: str
-    quantum_id: str
-    mode: str  # 'plain' | 'shor_ft'
-    syndrome_qubits: int
-    t_c: int = 0
-    failure_prob: float = -1.0
-
-
-def overhead(pc: ProductCode, mode: str = "plain",
-             model: ErrorModel | float | None = None) -> OverheadReport:
+def overhead(pc: ProductCode, mode: str = "plain") -> int:
     """Syndrome qubits for the product scheme, both error types summed.
 
     Plain mode uses one ancilla per product stabilizer: R per classical
@@ -161,20 +132,13 @@ def overhead(pc: ProductCode, mode: str = "plain",
     """
     q = pc.q
     if mode == "plain":
-        count = pc.R * (q.hx.rows + q.hz.rows)
-    elif mode == "shor_ft":
+        return pc.R * (q.hx.rows + q.hz.rows)
+    if mode == "shor_ft":
         weights = q.stabilizer_weights()
         if not weights:
             raise GF2Error(f"{q.kind} has no recorded stabilizer weights")
-        count = pc.R * sum(weights)
-    else:
-        raise GF2Error(f"mode must be 'plain' or 'shor_ft', got {mode!r}")
-    fp = failure_probability(model, pc) if model is not None else -1.0
-    return OverheadReport(
-        L=pc.L, classical_id=f"{pc.c.kind}:{pc.c.n}:{pc.c.k}",
-        quantum_id=q.kind, mode=mode, syndrome_qubits=count,
-        t_c=pc.t_c, failure_prob=fp,
-    )
+        return pc.R * sum(weights)
+    raise GF2Error(f"mode must be 'plain' or 'shor_ft', got {mode!r}")
 
 
 def canonical_overhead(L: int, q: CssCode) -> int:
@@ -192,16 +156,10 @@ def syndrome_error_prob(delta: int, p_e: float) -> float:
     )
 
 
-def syndrome_error_prob_closed(delta: int, p_e: float) -> float:
-    """Closed form (1 - (1 - 2 p_e)^delta) / 2, for cross-checking the series."""
-    return (1.0 - (1.0 - 2.0 * p_e) ** delta) / 2.0
-
-
 def poisson_binomial_tail(probs: list[float], threshold: int) -> float:
     """P(sum of independent Bernoulli(p_i) > threshold) by DP convolution."""
-    for p in probs:
-        if not 0.0 <= p <= 1.0:
-            raise GF2Error(f"probability {p} outside [0, 1]")
+    for i, p in enumerate(probs):
+        check_probability(f"probs[{i}]", p)
     dist = [1.0]
     for p in probs:
         nxt = [0.0] * (len(dist) + 1)
@@ -213,8 +171,7 @@ def poisson_binomial_tail(probs: list[float], threshold: int) -> float:
 
 
 def binary_entropy(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise GF2Error(f"p={p} outside [0, 1]")
+    check_probability("p", p)
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -239,15 +196,12 @@ class ShannonReport:
         return self.channel_rate < 0.0 or self.channel_margin > 0.0
 
 
-def shannon_bounds(model: ErrorModel | float, pc: ProductCode,
-                   g1: ClassicalCode | None = None,
-                   g2: ClassicalCode | None = None) -> ShannonReport:
+def shannon_bounds(p: float, pc: ProductCode, g1: ClassicalCode | None = None,
+                   g2: ClassicalCode | None = None, p_m: float = 0.0) -> ShannonReport:
     """Hashing-bound margin n - k > n H2(p), and, when channel codes are
-    given, the coded-syndrome rate margin R(n-k)/(n1 n2) < 1 - H2(p_m)."""
-    if isinstance(model, ErrorModel):
-        p, p_m = model.p, model.p_m
-    else:
-        p, p_m = float(model), 0.0
+    given, the coded-syndrome rate margin R(n-k)/(n1 n2) < 1 - H2(p_m), with
+    p_m the measurement-channel bit-flip probability."""
+    check_probability("p_m", p_m)
     q = pc.q
     h2 = binary_entropy(p)
     source_margin = (q.n - q.k) - q.n * h2

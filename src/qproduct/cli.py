@@ -194,36 +194,33 @@ def cmd_analyze(args) -> int:
     if args.what == "table1":
         print(analytics.format_table1())
         return 0
+    q = _quantum_from_id(args.q)
+
+    def bch_product(p: float) -> product.ProductCode:  # P^T mode, t_C by choose_bch
+        return product.ProductCode(c=analytics.choose_bch(args.L, p, q), q=q, hc_mode="pt")
+
     if args.what == "overhead":
-        q = _quantum_from_id(args.q)
-        c = analytics.choose_bch(args.L, args.p, q)
-        pc = product.ProductCode(c=c, q=q, hc_mode="pt")
-        report = analytics.overhead(pc, mode=args.mode, model=args.p)
+        pc = bch_product(args.p)
         row = {
-            "p": args.p, "L": args.L, "t_c": c.t,
-            "syndrome_qubits": report.syndrome_qubits,
+            "p": args.p, "L": args.L, "t_c": pc.c.t,
+            "syndrome_qubits": analytics.overhead(pc, mode=args.mode),
             "canonical": analytics.canonical_overhead(args.L, q),
-            "failure_prob": report.failure_prob,
+            "failure_prob": analytics.failure_probability(args.p, pc),
         }
         if args.csv:
-            print("p,L,t_c,syndrome_qubits,canonical,failure_prob")
-            print(f"{args.p},{args.L},{c.t},{report.syndrome_qubits},"
-                  f"{row['canonical']},{report.failure_prob:.3e}")
+            row["failure_prob"] = f"{row['failure_prob']:.3e}"
+            print(",".join(row))
+            print(",".join(map(str, row.values())))
         else:
             print(json.dumps(row, sort_keys=True))
         return 0
-    if args.what == "failure":
-        q = _quantum_from_id(args.q)
-        lines = ["p,L,t_c,failure_prob"]
-        for exp in range(args.pmin_exp, args.pmax_exp + 1):
-            p = 10.0 ** -exp
-            c = analytics.choose_bch(args.L, p, q)
-            pc = product.ProductCode(c=c, q=q, hc_mode="pt")
-            pf = analytics.failure_probability(p, pc)
-            lines.append(f"{p},{args.L},{c.t},{pf:.6e}")
-        print("\n".join(lines))
-        return 0
-    raise GF2Error(f"unknown analyze target {args.what!r}")
+    lines = ["p,L,t_c,failure_prob"]
+    for exp in range(args.pmin_exp, args.pmax_exp + 1):
+        p = 10.0 ** -exp
+        pc = bch_product(p)
+        lines.append(f"{p},{args.L},{pc.c.t},{analytics.failure_probability(p, pc):.6e}")
+    print("\n".join(lines))
+    return 0
 
 
 SIM_KEYS = {"c": str, "q": str, "p": (int, float), "shots": int, "seed": int,

@@ -309,7 +309,7 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
 
 # -- lookup-table file format ----------------------------------------------
 # Text header, then sorted hex records "key value", one per line; the sort
-# makes files diffable and supports binary-search loading.
+# makes files diffable.  The loader reads every record.
 
 TABLE_FIELDS = ("c", "q", "mode", "type", "tc", "tq", "mc", "key_bits", "n", "L",
                 "entries")

@@ -46,8 +46,9 @@ class TrialConfig:
         if self.seed < 0:
             raise GF2Error(f"seed must be >= 0, got {self.seed}")
         for name in ("p", "p_e"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise GF2Error(f"{name}={getattr(self, name)} outside [0, 1]")
+            analytics.check_probability(name, getattr(self, name))
+        if self.p_e > 0.0 and not self.syndrome_noise:
+            raise GF2Error(f"p_e={self.p_e} needs syndrome_noise, or it is ignored")
         if self.decode_mode not in ("lookup", "min_distance"):
             raise GF2Error(f"unknown decode_mode {self.decode_mode!r}")
         if self.syndrome_noise and self.decode_mode == "lookup":

@@ -55,8 +55,8 @@ def test_criterion_02_overhead_anchors():
     q = quantum.color17()
     c127 = analytics.choose_bch(127, 1e-4, q)
     c1023 = analytics.choose_bch(1023, 1e-4, q)
-    o127 = analytics.overhead(ProductCode(c127, q, hc_mode="pt")).syndrome_qubits
-    o1023 = analytics.overhead(ProductCode(c1023, q, hc_mode="pt")).syndrome_qubits
+    o127 = analytics.overhead(ProductCode(c127, q, hc_mode="pt"))
+    o1023 = analytics.overhead(ProductCode(c1023, q, hc_mode="pt"))
     canonical = analytics.canonical_overhead(127, q)
     elapsed = time.perf_counter() - start
     ok = (c127.design_t, c1023.design_t) == (6, 11) and \

@@ -7,17 +7,16 @@ import random
 import pytest
 
 from qproduct import analytics, classical, quantum
-from qproduct.analytics import ErrorModel
 from qproduct.gf2 import GF2Error
 from qproduct.product import ProductCode
 
 
-def test_error_model_validation():
-    ErrorModel(p=0.0, p_e=1.0, p_m=0.5)
-    with pytest.raises(GF2Error, match="p_e"):
-        ErrorModel(p=0.1, p_e=-0.01)
-    with pytest.raises(GF2Error, match="p="):
-        ErrorModel(p=1.5)
+def test_check_probability():
+    for p in (0.0, 0.5, 1.0):
+        analytics.check_probability("p", p)
+    for p in (-0.01, 1.5, float("nan"), float("inf")):
+        with pytest.raises(GF2Error, match=r"p_e=.* outside \[0, 1\]"):
+            analytics.check_probability("p_e", p)
 
 
 @pytest.mark.parametrize("p,n,t", [
@@ -85,8 +84,14 @@ def test_failure_probability_formula():
     p2 = analytics.binomial_tail(1 - (1 - p) ** 7, 5, 3)
     expect = 5 * p1 + p2 - 5 * p1 * p2
     assert analytics.failure_probability(p, pc) == pytest.approx(expect, rel=1e-12)
-    assert analytics.failure_probability(ErrorModel(p=p), pc) == \
-        pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, -0.5, float("nan")])
+def test_failure_probability_rejects_non_probability(p):
+    """p = 2.0 used to give -2988.0 on this code."""
+    pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt")
+    with pytest.raises(GF2Error, match=r"p=.* outside \[0, 1\]"):
+        analytics.failure_probability(p, pc)
 
 
 def test_failure_probability_localize_mode_smaller():
@@ -125,34 +130,38 @@ def test_overhead_anchors():
     q = quantum.color17()
     c127 = analytics.choose_bch(127, 1e-4, q)
     pc = ProductCode(c127, q, hc_mode="pt")
-    assert analytics.overhead(pc).syndrome_qubits == 672
+    assert analytics.overhead(pc) == 672
     c1023 = analytics.choose_bch(1023, 1e-4, q)
-    assert analytics.overhead(ProductCode(c1023, q, hc_mode="pt")).syndrome_qubits == 1760
+    assert analytics.overhead(ProductCode(c1023, q, hc_mode="pt")) == 1760
     assert analytics.canonical_overhead(127, q) == 2032
 
 
 def test_overhead_shor_ft_weights():
     steane_pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt")
-    rep = analytics.overhead(steane_pc, "shor_ft")
-    assert rep.syndrome_qubits == steane_pc.R * 24  # six weight-4 stabilizers
+    assert analytics.overhead(steane_pc, "shor_ft") == steane_pc.R * 24  # six weight-4 stabilizers
     color_pc = ProductCode(classical.bch(7, 6), quantum.color17(), hc_mode="pt")
-    assert analytics.overhead(color_pc, "shor_ft").syndrome_qubits == \
+    assert analytics.overhead(color_pc, "shor_ft") == \
         color_pc.R * 72  # fourteen weight-4 plus two weight-8 stabilizers
 
 
-def test_overhead_report_fields():
+def test_overhead_returns_the_syndrome_qubit_count():
     pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt")
-    rep = analytics.overhead(pc, model=1e-3)
-    assert rep.L == 5 and rep.quantum_id == "steane"
-    assert rep.failure_prob == pytest.approx(
-        analytics.failure_probability(1e-3, pc))
+    count = analytics.overhead(pc)
+    assert type(count) is int and count == pc.R * 6  # six stabilizers
+    with pytest.raises(GF2Error, match="mode"):
+        analytics.overhead(pc, "bogus")
+
+
+def syndrome_error_prob_closed(delta: int, p_e: float) -> float:
+    """Closed form (1 - (1 - 2 p_e)^delta) / 2 of the odd-parity series."""
+    return (1.0 - (1.0 - 2.0 * p_e) ** delta) / 2.0
 
 
 def test_syndrome_error_prob_matches_closed_form():
     for delta in range(0, 12):
         for p_e in (0.0, 1e-3, 0.1, 0.5):
             series = analytics.syndrome_error_prob(delta, p_e)
-            closed = analytics.syndrome_error_prob_closed(delta, p_e)
+            closed = syndrome_error_prob_closed(delta, p_e)
             assert series == pytest.approx(closed, abs=1e-14)
     with pytest.raises(GF2Error, match="nonneg"):
         analytics.syndrome_error_prob(-1, 0.1)
@@ -203,9 +212,20 @@ def test_shannon_bounds_channel_margin():
     pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt")
     g1 = classical.bch(4, 3)
     g2 = classical.repetition(5)
-    rep = analytics.shannon_bounds(ErrorModel(p=1e-3, p_m=1e-2), pc, g1, g2)
+    rep = analytics.shannon_bounds(1e-3, pc, g1, g2, p_m=1e-2)
     assert rep.channel_rate == pytest.approx(pc.key_bits("X") / (15 * 5))
+    assert rep.h2_pm == pytest.approx(analytics.binary_entropy(1e-2))
     assert rep.channel_ok
+
+
+def test_shannon_bounds_rejects_non_probability():
+    pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt")
+    g1, g2 = classical.bch(4, 3), classical.repetition(5)
+    for args in ((pc, g1, g2), (pc,)):  # p_m is checked with or without channel codes
+        with pytest.raises(GF2Error, match=r"p_m=1.5 outside \[0, 1\]"):
+            analytics.shannon_bounds(1e-3, *args, p_m=1.5)
+    with pytest.raises(GF2Error, match=r"p=1.5 outside \[0, 1\]"):
+        analytics.shannon_bounds(1.5, pc)
 
 
 def test_floor_eps():

@@ -236,8 +236,12 @@ def test_simulate_command(capsys, tmp_path):
      ' "p_e": 1.5}', "p_e=1.5 outside"),
     ('{"c": "hamming3pt", "q": "rep3", "p": 0.01, "shots": 20, "seed": -1}',
      "seed must be >= 0"),
+    # p_e without syndrome_noise used to be ignored: the same report as p_e = 0
+    ('{"c": "bch:15:3pt", "q": "steane", "t_src": 1, "p": 0.003, "shots": 20000,'
+     ' "seed": 5, "decode_mode": "min_distance", "p_e": 0.05}',
+     "p_e=0.05 needs syndrome_noise"),
 ], ids=["no-shots", "truncated", "shots-string", "noise-int", "json-list", "p_e-above-1",
-        "negative-seed"])
+        "negative-seed", "p_e-without-noise"])
 def test_simulate_bad_config_is_an_error_line(capsys, tmp_path, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -109,3 +109,24 @@ def test_localize_output_digest(capsys, tmp_path):
             digest.update(f"{code}\n{capsys.readouterr().out}".encode("ascii"))
     assert codes == {0, 1}
     assert digest.hexdigest() == LOCALIZE_DIGEST
+
+
+ANALYZE_RUNS = [["table1"]]
+ANALYZE_RUNS += [["overhead", "--L", L, "--mode", mode, *csv]
+                 for L in ("127", "1023") for mode in ("plain", "shor_ft")
+                 for csv in ([], ["--csv"])]
+ANALYZE_RUNS += [["failure"],
+                 ["failure", "--L", "255", "--q", "steane", "--pmin-exp", "2",
+                  "--pmax-exp", "6"]]
+ANALYZE_DIGEST = "a7309e9fefce83a7f0e94c5cf1f0dcaafe085fe3148dfa70ba467744167aa6c3"
+
+
+def test_analyze_output_digest(capsys):
+    """stdout and exit code of table1, overhead at L = 127 and 1023 in both
+    modes with and without --csv, and two failure sweeps."""
+    digest = hashlib.sha256()
+    for argv in ANALYZE_RUNS:
+        code = cli.main(["analyze", *argv])
+        assert code == 0
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode("ascii"))
+    assert digest.hexdigest() == ANALYZE_DIGEST

@@ -36,6 +36,11 @@ def test_trial_config_validation():
         with pytest.raises(GF2Error, match="p_e="):
             TrialConfig(pc=pc, p=0.1, shots=10, seed=1, p_e=p_e,
                         decode_mode="min_distance", syndrome_noise=True)
+    # p_e only drives syndrome noise, so without it a nonzero p_e would be ignored
+    for mode in ("lookup", "min_distance"):
+        with pytest.raises(GF2Error, match="p_e=0.05 needs syndrome_noise"):
+            TrialConfig(pc=pc, p=0.1, shots=10, seed=1, p_e=0.05, decode_mode=mode)
+    TrialConfig(pc=pc, p=0.1, shots=10, seed=1, p_e=0.0)
 
 
 def test_wilson_interval_known_values():
