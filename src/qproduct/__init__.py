@@ -7,7 +7,7 @@ propagation, and Monte Carlo validation.
 """
 
 from .gf2 import BitMatrix, GF2Error
-from .classical import ClassicalCode, GaloisField, StandardArray
+from .classical import ClassicalCode, GaloisField
 from .quantum import CosetTable, CssCode, PauliOp
 from .product import ErrorPattern, LookupTable, ProductCode, ProductSyndrome
 from .decoder import LocalizationResult
@@ -17,7 +17,7 @@ from .sim import TrialConfig, TrialReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix", "GF2Error", "ClassicalCode", "GaloisField", "StandardArray",
+    "BitMatrix", "GF2Error", "ClassicalCode", "GaloisField",
     "CosetTable", "CssCode", "PauliOp", "ErrorPattern", "LookupTable",
     "ProductCode", "ProductSyndrome", "LocalizationResult",
     "PauliFrame", "SyndromeCircuit", "TrialConfig", "TrialReport",

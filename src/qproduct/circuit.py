@@ -9,7 +9,7 @@ outcomes and residual data errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gf2
 from .gf2 import BitMatrix, GF2Error
@@ -28,9 +28,6 @@ class PauliFrame:
 
     x: int = 0
     z: int = 0
-
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Classical binary linear block codes.
 
 Constructors for the Hamming, BCH, Golay, repetition and single-parity-check
-families, syndrome/standard-array machinery, and an algebraic BCH decoder
+families, standard arrays (coset-leader tables), and an algebraic BCH decoder
 (Berlekamp-Massey plus Chien search) over GF(2^m).
 
 All cyclic constructions emit systematic matrices G = [P | I_k] and
@@ -147,10 +147,7 @@ class ClassicalCode:
     def P(self) -> BitMatrix:
         """The k x (n-k) parity block of G = [P | I_k]."""
         if not self.is_systematic():
-            raise GF2Error(
-                "generator is not in systematic [P | I] form; "
-                "use gf2.systematic_form first"
-            )
+            raise GF2Error("generator is not in systematic [P | I] form")
         return self.G.submatrix(range(self.k), range(self.r))
 
     @property
@@ -172,12 +169,10 @@ class ClassicalCode:
                 for i in range(self.n)]
 
     @cached_property
-    def standard_array(self) -> StandardArray:
-        """Coset-leader table, built on first use and kept with this code."""
+    def standard_array(self) -> dict[int, int]:
+        """Coset leader of each syndrome, built on first use and kept with
+        this code."""
         return build_standard_array(self)
-
-    def contains(self, v: BitMatrix) -> bool:
-        return gf2.mul(self.H, v.transpose()).is_zero()
 
 
 def _cyclic_systematic(n: int, genpoly: int, d: int, kind: str,
@@ -266,23 +261,6 @@ def single_parity_check(n: int) -> ClassicalCode:
     return ClassicalCode(n=n, k=n - 1, d=2, G=G, H=H, kind="spc")
 
 
-def custom_code(H: BitMatrix, kind: str = "custom") -> ClassicalCode:
-    """Code from an arbitrary full-row-rank parity-check matrix.
-
-    Distance is brute forced only when the enumeration is small, else
-    recorded as unknown (0).
-    """
-    r = gf2.rank(H)
-    if r != H.rows:
-        raise GF2Error(f"parity-check matrix is rank deficient ({r} < {H.rows})")
-    G = gf2.nullspace(H)
-    k = G.rows
-    d = 0
-    if k <= 20 or H.rows <= 20:
-        d = minimum_distance(G)
-    return ClassicalCode(n=H.cols, k=k, d=d, G=G, H=H, kind=kind)
-
-
 def minimum_distance(G: BitMatrix) -> int:
     """Minimum codeword weight by exhaustive span enumeration (2^k words)."""
     if G.rows == 0:
@@ -301,48 +279,15 @@ def minimum_distance(G: BitMatrix) -> int:
     return best
 
 
-def shorten(code: ClassicalCode, columns: list[int]) -> ClassicalCode:
-    """Shorten by deleting the given coordinates from H (message positions)."""
-    keep = [j for j in range(code.n) if j not in set(columns)]
-    H = code.H.submatrix(range(code.H.rows), keep)
-    return custom_code(H, kind=f"{code.kind}-shortened")
+def build_standard_array(code: ClassicalCode, max_size: int = 1 << 24) -> dict[int, int]:
+    """Coset leader (packed int) of each of the 2^(n-k) syndromes (packed
+    int): minimum weight, ties broken by the smallest bit string
+    (b_0, b_1, ..., b_{n-1}).
 
-
-def syndrome(code: ClassicalCode, v: BitMatrix) -> BitMatrix:
-    """H v^T as a 1 x (n-k) row vector."""
-    if v.rows != 1 or v.cols != code.n:
-        raise GF2Error(f"expected a 1x{code.n} vector, got {v.rows}x{v.cols}")
-    return gf2.mul(code.H, v.transpose()).transpose()
-
-
-def encode(code: ClassicalCode, msg: BitMatrix) -> BitMatrix:
-    """Systematic encoding m -> [m P | m]."""
-    if msg.rows != 1 or msg.cols != code.k:
-        raise GF2Error(f"expected a 1x{code.k} message, got {msg.rows}x{msg.cols}")
-    parity = gf2.mul(msg, code.P)
-    return parity.hstack(msg)
-
-
-@dataclass(frozen=True)
-class StandardArray:
-    """Complete coset-leader table: syndrome (packed int) -> leader (packed int)."""
-
-    code: ClassicalCode
-    leaders: dict[int, int]
-
-
-def _vectors_by_weight_lex(n: int, w: int):
-    """All weight-w length-n vectors in lexicographic bit-string order.
-
-    Bit-string order means comparing (b_0, b_1, ..., b_{n-1}); the smallest
-    weight-w vector has its support packed at the high coordinates.
+    Equal-weight supports first differ at the smallest element of their
+    symmetric difference, which lies in the lexicographically first one,
+    so reversed ``combinations`` order is ascending bit-string order.
     """
-    for support_ in itertools.combinations(range(n), w):
-        yield sum(1 << i for i in support_)
-
-
-def build_standard_array(code: ClassicalCode, max_size: int = 1 << 24) -> StandardArray:
-    """Leader table for all 2^(n-k) syndromes, minimum weight, lex tie-break."""
     total = 1 << code.r
     if total > max_size:
         raise GF2Error(
@@ -353,26 +298,15 @@ def build_standard_array(code: ClassicalCode, max_size: int = 1 << 24) -> Standa
     for w in range(1, code.n + 1):
         if len(leaders) == total:
             break
-        # lexicographic bit-string order: sort candidate vectors by their
-        # bit tuple so the first leader seen per coset is the lex-smallest
-        batch: dict[int, int] = {}
-        cands = sorted(
-            _vectors_by_weight_lex(code.n, w),
-            key=lambda v: tuple((v >> i) & 1 for i in range(code.n)),
-        )
-        for v in cands:
+        for support_ in reversed(list(itertools.combinations(range(code.n), w))):
             s = 0
-            vv = v
-            while vv:
-                low = vv & -vv
-                s ^= col_syn[low.bit_length() - 1]
-                vv ^= low
-            if s not in leaders and s not in batch:
-                batch[s] = v
-        leaders.update(batch)
+            for i in support_:
+                s ^= col_syn[i]
+            if s not in leaders:
+                leaders[s] = sum(1 << i for i in support_)
     if len(leaders) != total:
         raise GF2Error("standard array incomplete; H is rank deficient")
-    return StandardArray(code=code, leaders=leaders)
+    return leaders
 
 
 # -- Berlekamp-Massey decoding ---------------------------------------------

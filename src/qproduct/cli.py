@@ -17,7 +17,7 @@ import sys
 
 from . import (__version__, analytics, circuit, classical, decoder, gf2,
                product, quantum, sim)
-from .gf2 import BitMatrix, GF2Error
+from .gf2 import GF2Error
 
 
 def _classical_from_id(code_id: str) -> tuple[classical.ClassicalCode, str]:
@@ -374,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GF2Error, OSError) as exc:
+    except (GF2Error, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

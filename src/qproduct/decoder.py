@@ -72,7 +72,7 @@ class LocalizationResult:
 
     logical_indices: frozenset[int]
     per_row_supports: tuple[frozenset[int], ...]
-    confidence: str = "exact"  # 'exact' or 'nearest'
+    confidence: str = "exact"  # always 'exact'; `localize` prints it
     syndrome_flips: tuple[frozenset[int], ...] = ()
 
     def __post_init__(self):
@@ -114,7 +114,7 @@ def localize_bm(pc: ProductCode, xi: ProductSyndrome) -> LocalizationResult:
         else:  # the complete array is keyed by H-syndromes: [row | 0]'s in P^T mode
             syn = row if not offset else sum(((h & row).bit_count() & 1) << j
                                              for j, h in enumerate(code.H.row_data))
-            leader = code.standard_array.leaders[syn]
+            leader = code.standard_array[syn]
             locs = [p for p in range(code.n) if leader >> p & 1]
         if locs is None:
             raise LocalizationError(i, f"no coset leader within the decoding radius t={code.t}")

@@ -63,10 +63,6 @@ class BitMatrix:
     def row(self, i: int) -> "BitMatrix":
         return BitMatrix([self.row_data[i]], self.cols)
 
-    def row_bits(self, i: int) -> list[int]:
-        r = self.row_data[i]
-        return [(r >> j) & 1 for j in range(self.cols)]
-
     # -- basic algebra -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -88,9 +84,6 @@ class BitMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.row_data)
-
-    def weight(self) -> int:
-        return sum(r.bit_count() for r in self.row_data)
 
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.row_data]
@@ -119,12 +112,6 @@ class BitMatrix:
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BitMatrix":
         cols = BitMatrix([self.row_data[i] for i in row_idx], self.cols).transpose().row_data
         return BitMatrix([cols[j] for j in col_idx], len(row_idx)).transpose()
-
-    def permute_cols(self, perm: Sequence[int]) -> "BitMatrix":
-        """Column j of the result is column perm[j] of self."""
-        if sorted(perm) != list(range(self.cols)):
-            raise GF2Error("not a permutation of column indices")
-        return self.submatrix(range(self.rows), perm)
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -223,38 +210,12 @@ def nullspace(m: BitMatrix) -> BitMatrix:
     return BitMatrix(data, m.cols)
 
 
-def systematic_form(h: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Reduce a full-row-rank matrix to [I | A] up to a column permutation.
-
-    Returns (h_sys, perm) where column j of h_sys is column perm[j] of the
-    rref of h.  When the pivots already sit in the leading columns the
-    permutation is the identity.
-    """
-    red, r, pivots = rref(h)
-    if r != h.rows:
-        raise GF2Error(f"matrix is rank deficient: rank {r} < {h.rows} rows")
-    free = [j for j in range(h.cols) if j not in pivots]
-    perm = pivots + free
-    if perm == list(range(h.cols)):
-        return red, perm
-    return red.permute_cols(perm), perm
-
-
 def vec(m: BitMatrix) -> BitMatrix:
     """Column-stacking vectorization: entry (r, c) maps to index c*rows + r."""
     acc = 0
     for c, col in enumerate(m.transpose().row_data):
         acc |= col << (c * m.rows)
     return BitMatrix([acc], m.rows * m.cols)
-
-
-def unvec(v: BitMatrix, rows: int, cols: int) -> BitMatrix:
-    if v.rows != 1 or v.cols != rows * cols:
-        raise GF2Error(
-            f"unvec length mismatch: {v.rows}x{v.cols} vs {rows}*{cols}"
-        )
-    bits = v.row_data[0]
-    return BitMatrix([bits >> (c * rows) for c in range(cols)], rows).transpose()
 
 
 # -- text parity-check-matrix format --------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, gf2, quantum
+from . import gf2, quantum
 from .classical import ClassicalCode
 from .gf2 import BitMatrix, GF2Error
 from .quantum import CssCode
@@ -107,9 +107,9 @@ class ErrorPattern:
 
 @dataclass(frozen=True)
 class ProductSyndrome:
-    """Xi = H_Q eps H_C^T plus its flattened form vec(Xi^T).
+    """Xi = H_Q eps H_C^T plus its packed key vec(Xi^T).
 
-    The flattened key is stabilizer-major: bits [i*R, (i+1)*R) hold row i
+    The key is stabilizer-major: bits [i*R, (i+1)*R) hold row i
     of Xi, i.e. the classical syndrome measured against stabilizer i.
     """
 
@@ -122,10 +122,6 @@ class ProductSyndrome:
         for i, row in enumerate(self.matrix.row_data):
             acc |= row << (i * r)
         return acc
-
-    @property
-    def flattened(self) -> BitMatrix:
-        return BitMatrix([self.key], self.matrix.rows * self.matrix.cols)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -169,11 +165,6 @@ def in_class_D(pc: ProductCode, e: ErrorPattern) -> bool:
     weights = e.column_weights()
     return (max(weights, default=0) < pc.q.d
             and sum(1 for w in weights if w) <= pc.t_c)
-
-
-def is_normalizer_element(pc: ProductCode, e: ErrorPattern) -> bool:
-    """True iff the pattern commutes with every product stabilizer (Xi = 0)."""
-    return extract_syndrome(pc, e).is_zero()
 
 
 def normalizer_generators(pc: ProductCode, error_type: str = "X") -> list[ErrorPattern]:

@@ -22,10 +22,6 @@ class PauliOp:
     x: int = 0  # packed support of the X part
     z: int = 0
 
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def __str__(self) -> str:
         if self.x == 0 and self.z == 0:
             return "I"

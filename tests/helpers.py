@@ -9,8 +9,9 @@ from typing import Iterable
 import numpy as np
 
 from qproduct import gf2
+from qproduct.classical import ClassicalCode
 from qproduct.gf2 import BitMatrix, GF2Error
-from qproduct.product import ErrorPattern, ProductSyndrome
+from qproduct.product import ErrorPattern, ProductCode, ProductSyndrome, extract_syndrome
 from qproduct.quantum import CssCode, PauliOp
 
 
@@ -20,7 +21,7 @@ def from_numpy(arr) -> BitMatrix:
 
 
 def to_lists(m: BitMatrix) -> list[list[int]]:
-    return [m.row_bits(i) for i in range(m.rows)]
+    return [row_bits(m, i) for i in range(m.rows)]
 
 
 def to_numpy(m: BitMatrix) -> np.ndarray:
@@ -40,6 +41,34 @@ def int_to_bits(value: int, n: int) -> list[int]:
     return [(value >> i) & 1 for i in range(n)]
 
 
+def row_bits(m: BitMatrix, i: int) -> list[int]:
+    return int_to_bits(m.row_data[i], m.cols)
+
+
+def unvec(v: BitMatrix, rows: int, cols: int) -> BitMatrix:
+    """The inverse of gf2.vec."""
+    if v.rows != 1 or v.cols != rows * cols:
+        raise GF2Error(
+            f"unvec length mismatch: {v.rows}x{v.cols} vs {rows}*{cols}"
+        )
+    bits = v.row_data[0]
+    return BitMatrix([bits >> (c * rows) for c in range(cols)], rows).transpose()
+
+
+def syndrome(code: ClassicalCode, v: BitMatrix) -> BitMatrix:
+    """H v^T as a 1 x (n-k) row vector."""
+    if v.rows != 1 or v.cols != code.n:
+        raise GF2Error(f"expected a 1x{code.n} vector, got {v.rows}x{v.cols}")
+    return gf2.mul(code.H, v.transpose()).transpose()
+
+
+def encode(code: ClassicalCode, msg: BitMatrix) -> BitMatrix:
+    """Systematic encoding m -> [m P | m]."""
+    if msg.rows != 1 or msg.cols != code.k:
+        raise GF2Error(f"expected a 1x{code.k} message, got {msg.rows}x{msg.cols}")
+    return gf2.mul(msg, code.P).hstack(msg)
+
+
 def q_syndrome(q: CssCode, e: PauliOp) -> tuple[BitMatrix, BitMatrix]:
     """(Sigma_X, Sigma_Z) = (HZ u^T, HX v^T) for the error [u | v]."""
     if e.n != q.n:
@@ -53,7 +82,12 @@ def q_syndrome(q: CssCode, e: PauliOp) -> tuple[BitMatrix, BitMatrix]:
 
 def pattern_from_packed(value: int, n: int, L: int, error_type: str = "X") -> ErrorPattern:
     """The inverse of ErrorPattern.packed()."""
-    return ErrorPattern(gf2.unvec(BitMatrix([value], n * L), n, L), error_type)
+    return ErrorPattern(unvec(BitMatrix([value], n * L), n, L), error_type)
+
+
+def is_normalizer_element(pc: ProductCode, e: ErrorPattern) -> bool:
+    """True iff the pattern commutes with every product stabilizer (Xi = 0)."""
+    return extract_syndrome(pc, e).is_zero()
 
 
 def syndrome_from_key(key: int, stab_rows: int, r: int) -> ProductSyndrome:

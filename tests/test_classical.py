@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qproduct import classical, gf2
 from qproduct.gf2 import BitMatrix, GF2Error
 
-from helpers import to_lists, vector_from_support
+from helpers import encode, row_bits, syndrome, to_lists, vector_from_support
 
 
 def brute_force_decode(code, received, radius):
@@ -93,29 +93,29 @@ def test_spc_detects_weight_one():
     code = classical.single_parity_check(4)
     assert to_lists(code.H) == [[1, 1, 1, 1]]
     for j in range(4):
-        syn = classical.syndrome(code, vector_from_support([j], 4))
-        assert syn.row_bits(0) == [1]
+        syn = syndrome(code, vector_from_support([j], 4))
+        assert row_bits(syn, 0) == [1]
 
 
 def test_golay_dual_containing():
     code = classical.golay23()
     for i in range(code.H.rows):
-        assert code.contains(code.H.row(i))
+        assert syndrome(code, code.H.row(i)).is_zero()
 
 
 def test_syndrome_of_codeword_is_zero():
     code = classical.bch(4, 3)
     for mask in (0, 1, 0b10110):
         msg = BitMatrix([mask], code.k)
-        cw = classical.encode(code, msg)
-        assert classical.syndrome(code, cw).is_zero()
+        cw = encode(code, msg)
+        assert syndrome(code, cw).is_zero()
 
 
 def test_syndrome_unit_vector_is_column():
     code = classical.hamming(3)
     for j in range(code.n):
-        syn = classical.syndrome(code, vector_from_support([j], code.n))
-        assert syn.row_bits(0) == [code.H.get(i, j) for i in range(code.r)]
+        syn = syndrome(code, vector_from_support([j], code.n))
+        assert row_bits(syn, 0) == [code.H.get(i, j) for i in range(code.r)]
 
 
 def test_syndrome_injective_within_radius():
@@ -124,21 +124,21 @@ def test_syndrome_injective_within_radius():
     for w in range(code.t + 1):
         for supp in itertools.combinations(range(code.n), w):
             v = vector_from_support(supp, code.n)
-            key = classical.syndrome(code, v).row_data[0]
+            key = syndrome(code, v).row_data[0]
             assert key not in seen or seen[key] == supp
             seen[key] = supp
 
 
 def test_encode_systematic_layout():
     code = classical.hamming(3)
-    assert classical.encode(code, BitMatrix([0], 4)).is_zero()
-    cw = classical.encode(code, BitMatrix.from_rows([[0, 0, 1, 0]]))
-    assert cw.row_bits(0)[:3] == [1, 1, 0]  # parity part of the worked example
+    assert encode(code, BitMatrix([0], 4)).is_zero()
+    cw = encode(code, BitMatrix.from_rows([[0, 0, 1, 0]]))
+    assert row_bits(cw, 0)[:3] == [1, 1, 0]  # parity part of the worked example
 
 
 def test_encode_distance_property():
     code = classical.bch(4, 3)
-    words = [classical.encode(code, BitMatrix([m], code.k)).row_data[0]
+    words = [encode(code, BitMatrix([m], code.k)).row_data[0]
              for m in range(1 << code.k)]
     for a, b in itertools.combinations(range(0, 1 << code.k, 7), 2):
         assert (words[a] ^ words[b]).bit_count() >= code.d
@@ -147,14 +147,14 @@ def test_encode_distance_property():
 def test_standard_array_hamming():
     code = classical.hamming(3)
     arr = classical.build_standard_array(code)
-    assert len(arr.leaders) == 8
-    weights = sorted(v.bit_count() for v in arr.leaders.values())
+    assert len(arr) == 8
+    weights = sorted(v.bit_count() for v in arr.values())
     assert weights == [0, 1, 1, 1, 1, 1, 1, 1]
 
 
 def test_standard_array_repetition():
     arr = classical.build_standard_array(classical.repetition(3))
-    assert sorted(arr.leaders.values()) == [0b000, 0b001, 0b010, 0b100]
+    assert sorted(arr.values()) == [0b000, 0b001, 0b010, 0b100]
 
 
 def test_standard_array_weight_t_unique_leaders():
@@ -163,8 +163,8 @@ def test_standard_array_weight_t_unique_leaders():
     for w in range(code.t + 1):
         for supp in itertools.combinations(range(code.n), w):
             v = sum(1 << i for i in supp)
-            syn = classical.syndrome(code, BitMatrix([v], code.n)).row_data[0]
-            assert arr.leaders[syn] == v
+            syn = syndrome(code, BitMatrix([v], code.n)).row_data[0]
+            assert arr[syn] == v
 
 
 def test_standard_array_size_guard():
@@ -175,12 +175,51 @@ def test_standard_array_size_guard():
 def test_standard_array_leaders_minimum_weight():
     code = classical.repetition(4)
     arr = classical.build_standard_array(code)
-    for syn, leader in arr.leaders.items():
+    for syn, leader in arr.items():
         # no lighter vector shares the coset
         for other in range(1 << code.n):
-            s = classical.syndrome(code, BitMatrix([other], code.n)).row_data[0]
+            s = syndrome(code, BitMatrix([other], code.n)).row_data[0]
             if s == syn:
                 assert other.bit_count() >= leader.bit_count()
+
+
+def reference_standard_array(code):
+    """Leaders by an explicit sort of each weight's vectors by their bit
+    tuple (b_0, ..., b_{n-1}); the first vector seen per syndrome wins."""
+    col_syn = code.H.transpose().row_data
+    leaders = {0: 0}
+    for w in range(1, code.n + 1):
+        if len(leaders) == 1 << code.r:
+            break
+        vectors = sorted((sum(1 << i for i in supp)
+                          for supp in itertools.combinations(range(code.n), w)),
+                         key=lambda v: tuple((v >> i) & 1 for i in range(code.n)))
+        for v in vectors:
+            s = 0
+            for i in range(code.n):
+                if v >> i & 1:
+                    s ^= col_syn[i]
+            leaders.setdefault(s, v)
+    return leaders
+
+
+TIE_BREAK_CODES = {
+    **{f"hamming{m}": functools.partial(classical.hamming, m) for m in (2, 3, 4)},
+    "golay23": classical.golay23,
+    **{f"rep{n}": functools.partial(classical.repetition, n) for n in (2, 3, 5, 7)},
+    **{f"spc{n}": functools.partial(classical.single_parity_check, n) for n in (2, 5, 9)},
+    **{f"bch{m}_{t}": functools.partial(classical.bch, m, t)
+       for m, t in [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (6, 2)]},
+}
+
+
+@pytest.mark.parametrize("name", TIE_BREAK_CODES)
+def test_standard_array_tie_breaks_match_bit_tuple_sort(name):
+    """Every leader, tied cosets above weight t included, is the one the
+    bit-tuple sort picks."""
+    code = TIE_BREAK_CODES[name]()
+    assert classical.build_standard_array(code) == reference_standard_array(code)
+    assert code.standard_array is code.standard_array
 
 
 def test_bm_decode_zero_word():
@@ -191,7 +230,7 @@ def test_bm_decode_zero_word():
 def test_bm_decode_exhaustive_15_5_7():
     """Every codeword + every weight<=3 error recovers the exact support."""
     code = classical.bch(4, 3)
-    words = [classical.encode(code, BitMatrix([m], code.k)).row_data[0]
+    words = [encode(code, BitMatrix([m], code.k)).row_data[0]
              for m in range(1 << code.k)]
     supports = [()]
     for w in range(1, 4):
@@ -209,7 +248,7 @@ def test_bm_decode_beyond_radius_never_silently_wrong():
     rng = random.Random(17)
     for _ in range(200):
         msg = rng.randrange(1 << code.k)
-        cw = classical.encode(code, BitMatrix([msg], code.k)).row_data[0]
+        cw = encode(code, BitMatrix([msg], code.k)).row_data[0]
         supp = rng.sample(range(15), 4)
         word = cw ^ sum(1 << i for i in supp)
         got = classical.bm_decode(code, BitMatrix([word], 15))
@@ -227,7 +266,7 @@ def test_bm_decode_random_127_85_13(seed):
     rng = random.Random(seed)
     for _ in range(50):
         msg = rng.randrange(1 << 30)  # sparse message is fine
-        cw = classical.encode(code, BitMatrix([msg], code.k)).row_data[0]
+        cw = encode(code, BitMatrix([msg], code.k)).row_data[0]
         w = rng.randint(0, code.t)
         supp = rng.sample(range(127), w)
         word = cw ^ sum(1 << i for i in supp)
@@ -246,18 +285,6 @@ def test_galois_field_tables():
     for a in range(1, 16):
         assert gf.mul(a, gf.inv(a)) == 1
         assert gf.exp[gf.log[a]] == a
-
-
-def test_shorten_and_custom():
-    code = classical.golay23()
-    short = classical.shorten(code, [22])
-    assert short.n == 22 and short.k == 11
-    assert gf2.mul(short.G, short.H.transpose()).is_zero()
-
-
-def test_custom_code_rank_deficient():
-    with pytest.raises(GF2Error, match="rank"):
-        classical.custom_code(BitMatrix.from_rows([[1, 1], [1, 1]]))
 
 
 # -- one BCH core: bm_locate against the scalar decoder it replaced ------------

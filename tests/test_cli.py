@@ -166,6 +166,16 @@ def test_localize_rejects_a_wrong_shape(capsys, tmp_path, c, extra, text):
     assert err.startswith("error: ") and "Xi is" in err
 
 
+def test_localize_rejects_a_non_ascii_file(capsys, tmp_path):
+    """A 0xff byte in the Xi file used to end in a UnicodeDecodeError traceback."""
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_bytes(b"8 42\n\xff" + b"0" * 41 + b"\n")
+    code, out, err = run(capsys, "localize", "--c", "bch:127:6pt", "--q", "color17",
+                         "--xi", str(xi_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "decode byte 0xff" in err
+
+
 def test_analyze_table1(capsys):
     code, out, _ = run(capsys, "analyze", "table1")
     assert code == 0
@@ -328,6 +338,15 @@ def test_decode_rejects_table_with_negative_column_budget(capsys, desk_table):
     code, out, err = _decode_desk(capsys, desk_table)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "mc=-2 outside [0, t_c=1]" in err
+
+
+def test_decode_rejects_non_ascii_table_header(capsys, desk_table):
+    """A 0xff byte in the header line used to end in a UnicodeDecodeError
+    traceback from the loader's readline."""
+    desk_table.write_bytes(b"\xff" + desk_table.read_bytes())
+    code, out, err = _decode_desk(capsys, desk_table)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "decode byte 0xff" in err
 
 
 def test_decode_rejects_wrong_syndrome_length(capsys, desk_table):

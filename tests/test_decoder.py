@@ -11,7 +11,7 @@ from qproduct.decoder import LocalizationError, LocalizationResult
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ProductCode, ProductSyndrome
 
-from helpers import brute_nearest, pattern_from_packed, vector_from_support
+from helpers import brute_nearest, pattern_from_packed, syndrome, vector_from_support
 
 
 def pattern(pc, bits):
@@ -262,7 +262,7 @@ def test_localize_rows_uncovered_syndrome():
     for w in range(code.t + 1):
         for supp in itertools.combinations(range(code.n), w):
             v = vector_from_support(supp, code.n)
-            covered.add(classical.syndrome(code, v).row_data[0])
+            covered.add(syndrome(code, v).row_data[0])
     bad = next(s for s in range(1 << code.r) if s not in covered)
     rows = [bad] + [0] * (pc.q.hz.rows - 1)
     with pytest.raises(LocalizationError, match="coset leader") as exc:
@@ -379,7 +379,7 @@ def test_localize_rows_rejects_a_wrong_shape(rows, cols):
 def _reference_leader_support(code, syn):
     if code.kind == "bch":
         return classical.bm_locate(code, syn)
-    leader = code.standard_array.leaders.get(syn)
+    leader = code.standard_array.get(syn)
     if leader is None:
         return None
     return gf2.support(BitMatrix([leader], code.n))

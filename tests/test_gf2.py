@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qproduct import gf2, product
 from qproduct.gf2 import BitMatrix, GF2Error
 
-from helpers import from_numpy, int_to_bits, to_lists, to_numpy, vector_from_support
+from helpers import (from_numpy, int_to_bits, row_bits, to_lists, to_numpy, unvec,
+                     vector_from_support)
 
 STEANE_H = [[1, 0, 0, 1, 0, 1, 1],
             [0, 1, 0, 1, 1, 0, 1],
@@ -137,42 +138,15 @@ def test_nullspace_hamming_weights():
         assert acc.bit_count() >= 3
 
 
-def test_systematic_form_already_systematic():
-    h = BitMatrix.from_rows([[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 1, 0]])
-    h_sys, perm = gf2.systematic_form(h)
-    assert h_sys == h and perm == list(range(5))
-
-
-def test_systematic_form_binary_counting_hamming():
-    # columns are the binary numbers 1..7, so pivots need a permutation
-    cols = [[(v >> i) & 1 for v in range(1, 8)] for i in range(3)]
-    h = BitMatrix.from_rows(cols)
-    h_sys, perm = gf2.systematic_form(h)
-    assert h_sys.submatrix(range(3), range(3)) == BitMatrix.identity(3)
-    g_sys = gf2.nullspace(h_sys)
-    assert gf2.mul(h_sys, g_sys.transpose()).is_zero()
-
-
-def test_systematic_form_golay_rank():
-    from qproduct import classical
-    h_sys, _ = gf2.systematic_form(classical.golay23().H)
-    assert h_sys.rows == 11 and gf2.rank(h_sys) == 11
-
-
-def test_systematic_form_rank_deficient():
-    with pytest.raises(GF2Error, match="rank"):
-        gf2.systematic_form(BitMatrix.from_rows([[1, 1], [1, 1]]))
-
-
 def test_vec_definition():
     m = BitMatrix.from_rows([[1, 0], [0, 1]])
-    assert gf2.vec(m).row_bits(0) == [1, 0, 0, 1]
+    assert row_bits(gf2.vec(m), 0) == [1, 0, 0, 1]
 
 
 def test_unvec_roundtrip():
     rng = random.Random(3)
     m = BitMatrix.from_rows(random_matrix(rng, 7, 15))
-    assert gf2.unvec(gf2.vec(m), 7, 15) == m
+    assert unvec(gf2.vec(m), 7, 15) == m
 
 
 def test_vec_kron_identity_exhaustive_small():
@@ -187,7 +161,7 @@ def test_vec_kron_identity_exhaustive_small():
     patterns += [(1 << i) | (1 << j) for i, j in itertools.combinations(range(cells), 2)]
     for bits in patterns:
         v = BitMatrix([bits], cells)
-        eps = gf2.unvec(v, hq.cols, hc.cols)
+        eps = unvec(v, hq.cols, hc.cols)
         lhs = gf2.mul(k, v.transpose()).transpose()
         rhs = gf2.vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
         assert lhs == rhs
@@ -232,14 +206,11 @@ def test_bitstring_helpers():
     assert int_to_bits(6, 3) == [0, 1, 1]
 
 
-def test_hstack_vstack_permute():
+def test_hstack_vstack():
     a = BitMatrix.from_rows([[1, 0], [0, 1]])
     b = BitMatrix.from_rows([[1, 1], [0, 0]])
     assert to_lists(a.hstack(b)) == [[1, 0, 1, 1], [0, 1, 0, 0]]
     assert a.vstack(b).rows == 4
-    assert to_lists(a.permute_cols([1, 0])) == [[0, 1], [1, 0]]
-    with pytest.raises(GF2Error):
-        a.permute_cols([0, 0])
 
 
 def test_zero_sized_matrices_valid():
@@ -250,22 +221,21 @@ def test_zero_sized_matrices_valid():
 
 @st.composite
 def matrix_and_indices(draw):
-    """A matrix (0xN and Nx0 included), row/column index lists, a permutation."""
+    """A matrix (0xN and Nx0 included) and row/column index lists."""
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     data = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
     row_idx = draw(st.lists(st.integers(0, rows - 1), max_size=6)) if rows else []
     col_idx = draw(st.lists(st.integers(0, cols - 1), max_size=6)) if cols else []
-    perm = draw(st.permutations(range(cols)))
-    return BitMatrix(data, cols), row_idx, col_idx, perm
+    return BitMatrix(data, cols), row_idx, col_idx
 
 
 @given(matrix_and_indices())
-@example((BitMatrix([], 4), [], [3, 0, 3], [2, 0, 3, 1]))
-@example((BitMatrix([0b1, 0b0, 0b1], 0), [2, 0], [], []))
+@example((BitMatrix([], 4), [], [3, 0, 3]))
+@example((BitMatrix([0b1, 0b0, 0b1], 0), [2, 0], []))
 def test_reshapes_match_per_bit_reference(case):
-    """vec, unvec, submatrix, permute_cols, ErrorPattern.column and
+    """vec, unvec, submatrix, ErrorPattern.column and
     _pattern_from_columns against the per-bit definitions they reproduce."""
-    m, row_idx, col_idx, perm = case
+    m, row_idx, col_idx = case
     ref_vec = 0
     for c in range(m.cols):
         for r in range(m.rows):
@@ -274,11 +244,9 @@ def test_reshapes_match_per_bit_reference(case):
     ref_unvec = [0] * m.rows
     for idx in range(m.rows * m.cols):
         ref_unvec[idx % m.rows] |= ((ref_vec >> idx) & 1) << (idx // m.rows)
-    assert gf2.unvec(gf2.vec(m), m.rows, m.cols) == BitMatrix(ref_unvec, m.cols) == m
+    assert unvec(gf2.vec(m), m.rows, m.cols) == BitMatrix(ref_unvec, m.cols) == m
     assert m.submatrix(row_idx, col_idx) == BitMatrix.from_rows(
         [[m.get(i, j) for j in col_idx] for i in row_idx], len(col_idx))
-    assert m.permute_cols(perm) == BitMatrix.from_rows(
-        [[m.get(i, p) for p in perm] for i in range(m.rows)], m.cols)
     ref_cols = [sum(m.get(i, j) << i for i in range(m.rows)) for j in range(m.cols)]
     e = product.ErrorPattern(m)
     assert list(e.matrix.transpose().row_data) == ref_cols
