@@ -6,7 +6,9 @@ families, standard arrays (coset-leader tables), and an algebraic BCH decoder
 
 All cyclic constructions emit systematic matrices G = [P | I_k] and
 H = [I_{n-k} | P^T], so codewords carry the parity part first and the
-message last.
+message last.  The BCH generator is g(x) = prod (x + alpha^j) over the
+root set C, the union of the cyclotomic cosets of 1, 3, ..., 2t-1, so
+deg g = |C| = R <= m t.
 """
 
 from __future__ import annotations
@@ -39,15 +41,13 @@ GOLAY23_GENPOLY = (1 << 11) | (1 << 10) | (1 << 6) | (1 << 5) | (1 << 4) | (1 <<
 
 
 class GaloisField:
-    """GF(2^m) with exp/log tables over a fixed primitive polynomial."""
+    """GF(2^m) with exp/log tables over the primitive polynomial PRIMITIVE_POLYS[m]."""
 
-    def __init__(self, m: int, primitive_poly: int | None = None):
-        if primitive_poly is None:
-            if m not in PRIMITIVE_POLYS:
-                raise GF2Error(f"no default primitive polynomial for m={m}")
-            primitive_poly = PRIMITIVE_POLYS[m]
+    def __init__(self, m: int):
+        if m not in PRIMITIVE_POLYS:
+            raise GF2Error(f"no default primitive polynomial for m={m}")
+        poly = PRIMITIVE_POLYS[m]
         self.m = m
-        self.primitive_poly = primitive_poly
         self.order = (1 << m) - 1
         self.exp = [0] * (2 * self.order)
         self.log = [0] * (1 << m)
@@ -57,9 +57,9 @@ class GaloisField:
             self.log[x] = i
             x <<= 1
             if x >> m:
-                x ^= primitive_poly
+                x ^= poly
         if x != 1:
-            raise GF2Error(f"polynomial {primitive_poly:#b} is not primitive for m={m}")
+            raise GF2Error(f"polynomial {poly:#b} is not primitive for m={m}")
         for i in range(self.order, 2 * self.order):
             self.exp[i] = self.exp[i - self.order]
         self.exp_array = np.array(self.exp[:self.order])
@@ -74,9 +74,6 @@ class GaloisField:
             raise ZeroDivisionError("inverse of 0 in GF(2^m)")
         return self.exp[self.order - self.log[a]]
 
-    def pow_alpha(self, e: int) -> int:
-        return self.exp[e % self.order]
-
     def cyclotomic_coset(self, i: int) -> list[int]:
         coset = []
         j = i % self.order
@@ -85,35 +82,6 @@ class GaloisField:
             j = (2 * j) % self.order
         return coset
 
-    def minimal_polynomial(self, i: int) -> int:
-        """Minimal polynomial of alpha^i over GF(2), as an integer bit mask."""
-        coset = self.cyclotomic_coset(i)
-        # product of (x - alpha^j), coefficients in GF(2^m); low index = x^0
-        poly = [1]
-        for j in coset:
-            root = self.pow_alpha(j)
-            nxt = [0] * (len(poly) + 1)
-            for d, c in enumerate(poly):
-                nxt[d + 1] ^= c
-                nxt[d] ^= self.mul(c, root)
-            poly = nxt
-        mask = 0
-        for d, c in enumerate(poly):
-            if c == 1:
-                mask |= 1 << d
-            elif c != 0:
-                raise GF2Error("minimal polynomial has non-binary coefficient")
-        return mask
-
-
-def _polymul2(a: int, b: int) -> int:
-    out = 0
-    while b:
-        low = b & -b
-        out ^= a << (low.bit_length() - 1)
-        b ^= low
-    return out
-
 
 @dataclass(frozen=True)
 class ClassicalCode:
@@ -121,17 +89,16 @@ class ClassicalCode:
 
     n: int
     k: int
-    d: int  # design distance; 0 means unknown
+    d: int  # design distance
     G: BitMatrix
     H: BitMatrix
     kind: str
     gf: GaloisField | None = field(default=None, compare=False, repr=False)
     gen_poly: int = 0
-    design_t: int = 0
 
     @property
     def t(self) -> int:
-        return (self.d - 1) // 2 if self.d else self.design_t
+        return (self.d - 1) // 2
 
     @property
     def r(self) -> int:
@@ -165,7 +132,7 @@ class ClassicalCode:
         gf = self.gf
         m, order = gf.m, gf.order
         return [sum(gf.exp[i * j % order] << (f * m)
-                    for f, j in enumerate(range(1, 2 * self.design_t, 2)))
+                    for f, j in enumerate(range(1, 2 * self.t, 2)))
                 for i in range(self.n)]
 
     @cached_property
@@ -176,7 +143,7 @@ class ClassicalCode:
 
 
 def _cyclic_systematic(n: int, genpoly: int, d: int, kind: str,
-                       gf: GaloisField | None = None, design_t: int = 0) -> ClassicalCode:
+                       gf: GaloisField | None = None) -> ClassicalCode:
     """Systematic code from a cyclic generator polynomial.
 
     Row j of G is x^(r+j) + (x^(r+j) mod g): parity bits in coordinates
@@ -194,8 +161,7 @@ def _cyclic_systematic(n: int, genpoly: int, d: int, kind: str,
     G = BitMatrix([p | (1 << (r + j)) for j, p in enumerate(parities)], n)
     pt_rows = BitMatrix(parities, r).transpose().row_data
     H = BitMatrix([(1 << i) | (pt_rows[i] << r) for i in range(r)], n)
-    return ClassicalCode(n=n, k=k, d=d, G=G, H=H, kind=kind, gf=gf,
-                         gen_poly=genpoly, design_t=design_t)
+    return ClassicalCode(n=n, k=k, d=d, G=G, H=H, kind=kind, gf=gf, gen_poly=genpoly)
 
 
 def hamming(m: int) -> ClassicalCode:
@@ -224,17 +190,15 @@ def bch(m: int, t: int) -> ClassicalCode:
     if 2 * t + 1 > n:
         raise GF2Error(f"bch design distance 2*{t}+1 exceeds length {n}")
     gf = GaloisField(m)
-    genpoly = 1
-    seen: set[int] = set()
-    for i in range(1, 2 * t, 2):
-        rep = min(gf.cyclotomic_coset(i))
-        if rep in seen:
-            continue
-        seen.add(rep)
-        genpoly = _polymul2(genpoly, gf.minimal_polynomial(i))
-    if genpoly.bit_length() - 1 >= n:
-        raise GF2Error(f"bch t={t} leaves no message bits at length {n}")
-    return _cyclic_systematic(n, genpoly, 2 * t + 1, "bch", gf=gf, design_t=t)
+    roots = sorted({j for i in range(1, 2 * t, 2) for j in gf.cyclotomic_coset(i)})
+    coeffs = [1]  # g(x) over GF(2^m), low degree first
+    for j in roots:  # times (x + alpha^j)
+        coeffs = [hi ^ (gf.exp[gf.log[lo] + j] if lo else 0)
+                  for hi, lo in zip([0] + coeffs, coeffs + [0])]
+    if any(c > 1 for c in coeffs):
+        raise GF2Error("bch generator has a non-binary coefficient")
+    genpoly = sum(c << e for e, c in enumerate(coeffs))
+    return _cyclic_systematic(n, genpoly, 2 * t + 1, "bch", gf=gf)
 
 
 def golay23() -> ClassicalCode:
@@ -279,7 +243,10 @@ def minimum_distance(G: BitMatrix) -> int:
     return best
 
 
-def build_standard_array(code: ClassicalCode, max_size: int = 1 << 24) -> dict[int, int]:
+STANDARD_ARRAY_LIMIT = 1 << 24  # most syndromes build_standard_array enumerates
+
+
+def build_standard_array(code: ClassicalCode) -> dict[int, int]:
     """Coset leader (packed int) of each of the 2^(n-k) syndromes (packed
     int): minimum weight, ties broken by the smallest bit string
     (b_0, b_1, ..., b_{n-1}).
@@ -289,9 +256,9 @@ def build_standard_array(code: ClassicalCode, max_size: int = 1 << 24) -> dict[i
     so reversed ``combinations`` order is ascending bit-string order.
     """
     total = 1 << code.r
-    if total > max_size:
+    if total > STANDARD_ARRAY_LIMIT:
         raise GF2Error(
-            f"standard array would need {total} entries (limit {max_size})"
+            f"standard array would need {total} entries (limit {STANDARD_ARRAY_LIMIT})"
         )
     col_syn = code.H.transpose().row_data
     leaders: dict[int, int] = {0: 0}
@@ -331,7 +298,7 @@ def bm_locate(code: ClassicalCode, word: int) -> list[int] | None:
     """
     table = code.odd_syndromes
     gf = code.gf
-    m, t, mask = gf.m, code.design_t, gf.order  # order = 2^m - 1, one field
+    m, t, mask = gf.m, code.t, gf.order  # order = 2^m - 1, one field
     packed = 0
     w = word
     while w:

@@ -179,7 +179,11 @@ def cmd_decode(args) -> int:
 def cmd_localize(args) -> int:
     pc = _product_from_args(args)
     with open(args.xi, encoding="ascii") as fh:
-        xi = product.ProductSyndrome(gf2.from_text(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GF2Error(f"{args.xi}: {exc}") from None
+    xi = product.ProductSyndrome(gf2.from_text(text))
     res = decoder.localize_bm(pc, xi)
     out = {
         "logical_indices": sorted(res.logical_indices),

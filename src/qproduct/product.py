@@ -9,7 +9,6 @@ measured syndromes with a two-dimensional product code.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import operator
@@ -52,7 +51,7 @@ class ProductCode:
             object.__setattr__(self, "t_c", self.c.t)
         if self.t_q < 0:
             object.__setattr__(self, "t_q", self.q.t)
-        if self.c.d and self.q.d and self.c.d < self.q.d:
+        if self.c.d < self.q.d:
             raise GF2Error(
                 f"classical distance {self.c.d} < quantum distance {self.q.d}"
             )
@@ -122,9 +121,6 @@ class ProductSyndrome:
         for i, row in enumerate(self.matrix.row_data):
             acc |= row << (i * r)
         return acc
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
 
 
 def product_parity_check(pc: ProductCode, error_type: str = "X") -> BitMatrix:
@@ -329,22 +325,23 @@ def check_table(table: LookupTable, pc: ProductCode, error_type: str, key_bits: 
             raise GF2Error(f"table built for {name}={mine[name]}, not {want}")
 
 
-def save_lookup_table(table: LookupTable, path: str) -> str:
+def save_lookup_table(table: LookupTable, path: str) -> None:
     header = _table_header(table.pc, table.error_type, table.max_cols,
                            len(table.entries))
     lines = ["qproduct-lut " + " ".join(f"{k}={v}" for k, v in header.items())]
     for key in sorted(table.entries):
         lines.append(f"{key:x} {table.entries[key]:x}")
-    blob = "\n".join(lines) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(blob)
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:
     """Read a table file, refusing one that was built for another code."""
     with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
+        try:
+            header = fh.readline().split()
+        except UnicodeDecodeError as exc:
+            raise GF2Error(f"{path}: {exc}") from None
         if not header or header[0] != "qproduct-lut":
             raise GF2Error(f"{path} is not a lookup-table file")
         fields = dict(tok.partition("=")[::2] for tok in header[1:])

@@ -87,7 +87,7 @@ def pattern_from_packed(value: int, n: int, L: int, error_type: str = "X") -> Er
 
 def is_normalizer_element(pc: ProductCode, e: ErrorPattern) -> bool:
     """True iff the pattern commutes with every product stabilizer (Xi = 0)."""
-    return extract_syndrome(pc, e).is_zero()
+    return extract_syndrome(pc, e).matrix.is_zero()
 
 
 def syndrome_from_key(key: int, stab_rows: int, r: int) -> ProductSyndrome:

@@ -61,7 +61,7 @@ def test_criterion_02_overhead_anchors():
     o1023 = analytics.overhead(ProductCode(c1023, q, hc_mode="pt"))
     canonical = analytics.canonical_overhead(127, q)
     elapsed = time.perf_counter() - start
-    ok = (c127.design_t, c1023.design_t) == (6, 11) and \
+    ok = (c127.t, c1023.t) == (6, 11) and \
         (o127, o1023, canonical) == (672, 1760, 2032)
     report(2, f"overhead 672/1760 vs canonical 2032 at t_C=6/11 ({elapsed:.1f}s)",
            ok and elapsed < 10.0)

@@ -113,7 +113,7 @@ def test_failure_probability_color17_anchor():
 def test_choose_bch_anchors():
     q = quantum.color17()
     code = analytics.choose_bch(127, 1e-4, q)
-    assert (code.n, code.design_t) == (127, 6)
+    assert (code.n, code.t) == (127, 6)
     assert code.n - code.k == 42
     with pytest.raises(GF2Error, match="BCH length"):
         analytics.choose_bch(100, 1e-4, q)
@@ -121,8 +121,8 @@ def test_choose_bch_anchors():
 
 def test_choose_bch_monotone_in_p():
     q = quantum.color17()
-    t_small = analytics.choose_bch(127, 1e-5, q).design_t
-    t_large = analytics.choose_bch(127, 1e-3, q).design_t
+    t_small = analytics.choose_bch(127, 1e-5, q).t
+    t_large = analytics.choose_bch(127, 1e-3, q).t
     assert t_small <= 6 <= t_large
 
 

@@ -76,6 +76,51 @@ def test_bch_t_too_large():
         classical.bch(3, 4)
 
 
+def test_bch_without_a_primitive_polynomial():
+    with pytest.raises(GF2Error, match="no default primitive polynomial"):
+        classical.bch(11, 1)
+
+
+def reference_minimal_polynomial(gf, i):
+    """Minimal polynomial of alpha^i over GF(2) as a bit mask: the product
+    of (x + alpha^j) over the cyclotomic coset of i."""
+    poly = [1]
+    for j in gf.cyclotomic_coset(i):
+        nxt = [0] * (len(poly) + 1)
+        for d, c in enumerate(poly):
+            nxt[d + 1] ^= c
+            nxt[d] ^= gf.mul(c, gf.exp[j])
+        poly = nxt
+    assert set(poly) <= {0, 1}
+    return sum(c << d for d, c in enumerate(poly))
+
+
+def polymul2(a, b):
+    """Product of two GF(2) polynomials packed as bit masks."""
+    return functools.reduce(lambda acc, e: acc ^ (a << e) if (b >> e) & 1 else acc,
+                            range(b.bit_length()), 0)
+
+
+def reference_generator(m, t):
+    """lcm of the minimal polynomials of alpha, alpha^3, ..., alpha^(2t-1)."""
+    gf = classical.GaloisField(m)
+    reps = {min(gf.cyclotomic_coset(i)) for i in range(1, 2 * t, 2)}
+    return functools.reduce(polymul2, (reference_minimal_polynomial(gf, i) for i in reps), 1)
+
+
+GENERATOR_CASES = ([(m, range(1, 1 << (m - 1))) for m in range(2, 9)]  # every t
+                   + [(9, range(1, 13)), (10, range(1, 13)), (9, range(20, 21))])
+
+
+@pytest.mark.parametrize("m,ts", GENERATOR_CASES,
+                         ids=[f"m{m}-t{ts[0]}-{ts[-1]}" for m, ts in GENERATOR_CASES])
+def test_bch_generator_is_the_lcm_of_minimal_polynomials(m, ts):
+    for t in ts:
+        code = classical.bch(m, t)
+        assert code.gen_poly == reference_generator(m, t), (m, t)
+        assert code.r == code.gen_poly.bit_length() - 1
+
+
 def test_hamming3_pinned_pt_columns():
     code = classical.hamming(3)
     pt = code.pt
@@ -169,7 +214,7 @@ def test_standard_array_weight_t_unique_leaders():
 
 def test_standard_array_size_guard():
     with pytest.raises(GF2Error, match="entries"):
-        classical.build_standard_array(classical.bch(7, 6), max_size=1 << 10)
+        classical.build_standard_array(classical.bch(7, 6))
 
 
 def test_standard_array_leaders_minimum_weight():
@@ -281,7 +326,7 @@ def test_bm_decode_requires_bch():
 
 def test_galois_field_tables():
     gf = classical.GaloisField(4)
-    assert gf.pow_alpha(gf.order) == 1
+    assert gf.exp[gf.order] == 1  # alpha^(2^m - 1) = 1, read from the doubled table
     for a in range(1, 16):
         assert gf.mul(a, gf.inv(a)) == 1
         assert gf.exp[gf.log[a]] == a
@@ -293,14 +338,14 @@ def reference_syndromes(code, word):
     """S_1..S_2t of a packed word, one power of alpha per set bit and j."""
     gf = code.gf
     positions = [i for i in range(word.bit_length()) if (word >> i) & 1]
-    return [functools.reduce(lambda s, i: s ^ gf.pow_alpha(i * j), positions, 0)
-            for j in range(1, 2 * code.design_t + 1)]
+    return [functools.reduce(lambda s, i: s ^ gf.exp[i * j % gf.order], positions, 0)
+            for j in range(1, 2 * code.t + 1)]
 
 
 def reference_bm_decode(code, word):
     """The decoder bm_locate replaced: per-position syndromes, the same
     Berlekamp-Massey recursion, and a scalar Chien search."""
-    gf, t = code.gf, code.design_t
+    gf, t = code.gf, code.t
     syn = reference_syndromes(code, word)
     if not any(syn):
         return []
@@ -334,7 +379,7 @@ def reference_bm_decode(code, word):
         acc = 0
         for d, c in enumerate(sigma):
             if c:
-                acc ^= gf.mul(c, gf.pow_alpha((-i * d) % gf.order))
+                acc ^= gf.mul(c, gf.exp[(-i * d) % gf.order])
         if acc == 0:
             locations.append(i)
     if len(locations) != deg:

@@ -174,6 +174,7 @@ def test_localize_rejects_a_non_ascii_file(capsys, tmp_path):
                          "--xi", str(xi_path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "decode byte 0xff" in err
+    assert str(xi_path) in err
 
 
 def test_analyze_table1(capsys):
@@ -347,6 +348,7 @@ def test_decode_rejects_non_ascii_table_header(capsys, desk_table):
     code, out, err = _decode_desk(capsys, desk_table)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "decode byte 0xff" in err
+    assert str(desk_table) in err
 
 
 def test_decode_rejects_wrong_syndrome_length(capsys, desk_table):

@@ -1,5 +1,6 @@
 """Product parity checks, syndrome extraction, class membership, tables."""
 
+import hashlib
 import itertools
 import random
 
@@ -243,8 +244,9 @@ def test_save_load_roundtrip(tmp_path):
     pc = desk_instance()
     table = product.build_lookup_table(pc)
     path = str(tmp_path / "desk.lut")
-    digest = product.save_lookup_table(table, path)
-    assert len(digest) == 64
+    product.save_lookup_table(table, path)
+    with open(path, "rb") as fh:
+        assert len(hashlib.sha256(fh.read()).hexdigest()) == 64
     loaded = product.load_lookup_table(path, pc)
     assert loaded.entries == table.entries
     assert loaded.error_type == "X" and loaded.key_bits == 6

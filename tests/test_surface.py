@@ -4,8 +4,11 @@ A public module-level function or class, or a public method, must be
 named by an AST ``Name`` or ``Attribute`` node somewhere in the package
 outside its own definition.  Code that only its tests call either moves
 to ``tests/helpers.py`` or waits in ALLOWED with the reason it stays.
-Matching is by identifier, so a dead definition that shares its name with
-a live one goes unseen; a live one is never reported.
+A module-level ``f`` of module ``m`` is matched by module: ``m.f``, or a
+bare ``f`` inside ``m`` or imported from ``m``.  A method is matched by
+identifier, since the type of its receiver is not known, so a dead method
+that shares its name with a live one goes unseen; a live one is never
+reported.
 """
 
 import ast
@@ -29,19 +32,40 @@ ALLOWED = {
     "product.extract_syndrome": "reference layout tests compare against",
     "product.in_class_E": "reference layout tests compare against",
     "product.in_class_D": "ROADMAP item 4: localize-mode class",
+    "product.normalizer_generators": "reference for acceptance criterion 4's coset-leader check",
     "quantum.build_coset_table": "ROADMAP item 4: per-column quantum correction",
     "quantum.CosetTable.representative": "ROADMAP item 4: per-column quantum correction",
 }
 
 
-def _names(node) -> collections.Counter:
-    """Count of each identifier named by a Name or Attribute node."""
+def _imports(tree) -> dict:
+    """Local name -> (sibling module, member) of each ``from`` import; the
+    member is None when the name is the module itself."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    (alias.name, None) if node.module is None
+                    else (node.module.rpartition(".")[2], alias.name))
+    return bound
+
+
+def _refs(node, module: str, bound: dict) -> collections.Counter:
+    """References under node, counted by identifier (for methods) and by
+    (module, name) (for module-level definitions): a bare ``f`` is
+    ``module.f`` unless imported, and ``m.f`` on an imported module ``m``
+    is ``m.f``."""
     counts = collections.Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             counts[sub.id] += 1
+            counts[bound.get(sub.id, (module, sub.id))] += 1
         elif isinstance(sub, ast.Attribute):
             counts[sub.attr] += 1
+            source, member = bound.get(getattr(sub.value, "id", None), (None, ""))
+            if member is None:
+                counts[(source, sub.attr)] += 1
     return counts
 
 
@@ -59,11 +83,16 @@ def _public_definitions(tree):
 
 def uncalled(package: pathlib.Path = PACKAGE) -> set[str]:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
-    total = sum((_names(tree) for tree in trees.values()), collections.Counter())
-    return {f"{module}.{name}"
-            for module, tree in trees.items()
-            for name, node in _public_definitions(tree)
-            if total[node.name] == _names(node)[node.name]}
+    bound = {module: _imports(tree) for module, tree in trees.items()}
+    total = sum((_refs(tree, module, bound[module]) for module, tree in trees.items()),
+                collections.Counter())
+    found = set()
+    for module, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            key = node.name if "." in name else (module, name)
+            if total[key] == _refs(node, module, bound[module])[key]:
+                found.add(f"{module}.{name}")
+    return found
 
 
 def test_every_public_definition_has_a_caller_or_a_reason():
@@ -81,3 +110,16 @@ def test_guard_sees_a_self_recursive_definition_as_uncalled(tmp_path):
         "def lonely(n):\n    return lonely(n - 1) if n else used()\n\n\n"
         "class Box:\n    def get(self):\n        return self.get\n")
     assert uncalled(tmp_path) == {"mod.lonely", "mod.Box", "mod.Box.get"}
+
+
+def test_guard_matches_module_level_names_by_module(tmp_path):
+    """A call of one module's ``shared`` does not count for another's."""
+    (tmp_path / "one.py").write_text("def shared():\n    return 1\n")
+    (tmp_path / "two.py").write_text(
+        "from . import one\n\n\n"
+        "def shared():\n    return 2\n\n\n"
+        "def main():\n    return one.shared()\n")
+    (tmp_path / "three.py").write_text(
+        "from .two import main as entry\n\n\n"
+        "def run():\n    return entry()\n")
+    assert uncalled(tmp_path) == {"two.shared", "three.run"}
