@@ -22,6 +22,8 @@ from .gf2 import BitMatrix, GF2Error
 from .quantum import CssCode
 
 TABLE_SIZE_GUARD = 10 ** 8
+TABLE_BLOCK = 1 << 14  # patterns keyed per numpy block of a table build
+TABLE_CHUNK = 1 << 14  # records formatted per write of a table file
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,10 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
     stabilizer elements (degeneracy); any other collision aborts with the
     two patterns and the shared key.  Enumeration order is by number of
     columns hit, then column combination, then per-column pattern, so the
-    stored correction is the first-enumerated representative.
+    stored correction is the first-enumerated representative.  Each column
+    count is keyed in numpy blocks of at most TABLE_BLOCK patterns: a
+    pattern's key is the XOR of its columns' keys and its correction the OR
+    of theirs, as ``int_array`` values (int64, or Python ints past 63 bits).
 
     ``max_cols`` caps the number of columns hit (default t_C).  Noisy
     syndrome decoding passes t_src here, so the keys keep the pairwise
@@ -261,42 +266,47 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
         )
     n = pc.q.n
     span = pc.q.stabilizer_span(error_type)
-    hc = pc.h_c
-    bit_keys = key_map(pc.q.check_matrix(error_type), hc)
-    # per-column patterns of weight 1..t_q, and each one's key in every column
+    hq, hc = pc.q.check_matrix(error_type), pc.h_c
+    bit_keys = key_map(hq, hc)
+    # per-column patterns of weight 1..t_q; entry ell * len(patterns) + pi of
+    # key_of and fix_of is the key and the correction of pattern pi in column ell
     supports = [supp for w in range(1, pc.t_q + 1)
                 for supp in itertools.combinations(range(n), w)]
     patterns = [sum(1 << i for i in supp) for supp in supports]
-    contribs = [[functools.reduce(operator.xor, (bit_keys[ell * n + i] for i in supp))
-                 for supp in supports] for ell in range(hc.cols)]
+    key_of = int_array([functools.reduce(operator.xor, (bit_keys[ell * n + i] for i in supp))
+                        for ell in range(hc.cols) for supp in supports])
+    fix_of = int_array([pat << (ell * n) for ell in range(hc.cols) for pat in patterns])
 
     entries: dict[int, int] = {0: 0}
     for c in range(1, max_cols + 1):
-        for cols in itertools.combinations(range(hc.cols), c):
-            for choice in itertools.product(range(len(patterns)), repeat=c):
-                packed = 0
-                key = 0
-                for ell, pi in zip(cols, choice):
-                    packed |= patterns[pi] << (ell * n)
-                    key ^= contribs[ell][pi]
-                if key in entries:
-                    other = entries[key]
-                    if not quantum.differs_by_stabilizers(other ^ packed, n, span):
-                        raise GF2Error(
-                            f"syndrome conflict: patterns {other:#x} and "
-                            f"{packed:#x} share key {key:#x} but are not "
-                            f"stabilizer-equivalent"
-                        )
-                else:
-                    entries[key] = packed
-    return LookupTable(pc=pc, error_type=error_type,
-                       key_bits=pc.key_bits(error_type), entries=entries,
-                       max_cols=max_cols)
+        combos = np.array(list(itertools.combinations(range(hc.cols), c)),
+                          dtype=np.intp).reshape(-1, c)
+        per_combo = len(patterns) ** c
+        total = len(combos) * per_combo
+        for start in range(0, total, TABLE_BLOCK):
+            combo, choice = np.divmod(np.arange(start, min(start + TABLE_BLOCK, total)), per_combo)
+            keys, fixes = 0, 0
+            for j in reversed(range(c)):  # the last column's pattern varies fastest
+                choice, pi = np.divmod(choice, len(patterns))
+                at = combos[combo, j] * len(patterns) + pi
+                keys, fixes = keys ^ key_of[at], fixes | fix_of[at]
+            for key, packed in zip(keys.tolist(), fixes.tolist()):
+                other = entries.setdefault(key, packed)  # packed itself iff the key is new
+                if other != packed and not quantum.differs_by_stabilizers(
+                        other ^ packed, n, span):
+                    raise GF2Error(
+                        f"syndrome conflict: patterns {other:#x} and "
+                        f"{packed:#x} share key {key:#x} but are not "
+                        f"stabilizer-equivalent"
+                    )
+    return LookupTable(pc=pc, error_type=error_type, key_bits=hq.rows * hc.rows,
+                       entries=entries, max_cols=max_cols)
 
 
 # -- lookup-table file format ----------------------------------------------
 # Text header, then sorted hex records "key value", one per line; the sort
-# makes files diffable.  The loader reads every record.
+# makes files diffable.  The writer formats TABLE_CHUNK records per write, so
+# it never holds the whole file as text.  The loader reads every record.
 
 TABLE_FIELDS = ("c", "q", "mode", "type", "tc", "tq", "mc", "key_bits", "n", "L",
                 "entries")
@@ -328,11 +338,15 @@ def check_table(table: LookupTable, pc: ProductCode, error_type: str, key_bits: 
 def save_lookup_table(table: LookupTable, path: str) -> None:
     header = _table_header(table.pc, table.error_type, table.max_cols,
                            len(table.entries))
-    lines = ["qproduct-lut " + " ".join(f"{k}={v}" for k, v in header.items())]
-    for key in sorted(table.entries):
-        lines.append(f"{key:x} {table.entries[key]:x}")
+    keys = sorted(table.entries)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("qproduct-lut " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
+        for start in range(0, len(keys), TABLE_CHUNK):
+            chunk = keys[start:start + TABLE_CHUNK]
+            records = [0] * (2 * len(chunk))  # key, value, key, value, ...
+            records[::2] = chunk
+            records[1::2] = map(table.entries.__getitem__, chunk)
+            fh.write(("%x %x\n" * len(chunk)) % tuple(records))
 
 
 def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:

@@ -103,10 +103,11 @@ def _key_tables(bit_keys: list[int]) -> np.ndarray:
 
 
 def _noise_probs(hq: BitMatrix, hc: BitMatrix, p_e: float) -> np.ndarray:
-    """Per-key-bit flip probability from the gate count feeding each ancilla."""
-    hc_w = hc.row_weights()
-    return np.array([analytics.syndrome_error_prob(wq * wc, p_e)
-                     for wq in hq.row_weights() for wc in hc_w])
+    """Per-key-bit flip probability from the gate count feeding each ancilla,
+    computed once per distinct count."""
+    gates = np.outer(hq.row_weights(), hc.row_weights()).ravel()
+    counts, at = np.unique(gates, return_inverse=True)
+    return np.array([analytics.syndrome_error_prob(int(g), p_e) for g in counts])[at]
 
 
 def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialReport:

@@ -1,7 +1,9 @@
 """Product parity checks, syndrome extraction, class membership, tables."""
 
+import functools
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -238,6 +240,160 @@ def test_lookup_table_size_guard():
     pc = ProductCode(classical.bch(7, 6), quantum.golay_css())
     with pytest.raises(GF2Error, match="entries"):
         product.build_lookup_table(pc)
+
+
+def reference_build(pc, error_type="X", max_cols=None):
+    """The one-pattern-at-a-time build the numpy blocks replaced: entries in
+    enumeration order, first representative kept, conflicts raised."""
+    max_cols = pc.t_c if max_cols is None else max_cols
+    n = pc.q.n
+    span = pc.q.stabilizer_span(error_type)
+    hq, hc = pc.q.check_matrix(error_type), pc.h_c
+    bit_keys = product.key_map(hq, hc)
+    supports = [supp for w in range(1, pc.t_q + 1)
+                for supp in itertools.combinations(range(n), w)]
+    patterns = [sum(1 << i for i in supp) for supp in supports]
+    contribs = [[functools.reduce(operator.xor, (bit_keys[ell * n + i] for i in supp))
+                 for supp in supports] for ell in range(hc.cols)]
+    entries = {0: 0}
+    for c in range(1, max_cols + 1):
+        for cols in itertools.combinations(range(hc.cols), c):
+            for choice in itertools.product(range(len(patterns)), repeat=c):
+                packed = key = 0
+                for ell, pi in zip(cols, choice):
+                    packed |= patterns[pi] << (ell * n)
+                    key ^= contribs[ell][pi]
+                if key in entries:
+                    other = entries[key]
+                    if not quantum.differs_by_stabilizers(other ^ packed, n, span):
+                        raise GF2Error(
+                            f"syndrome conflict: patterns {other:#x} and "
+                            f"{packed:#x} share key {key:#x} but are not "
+                            f"stabilizer-equivalent"
+                        )
+                else:
+                    entries[key] = packed
+    return product.LookupTable(pc=pc, error_type=error_type,
+                               key_bits=hq.rows * hc.rows, entries=entries,
+                               max_cols=max_cols)
+
+
+def paper_scale_t_src_1():
+    """bch(7,6)pt x color17 (L = 85): 336-bit keys, 1,445-bit corrections."""
+    return ProductCode(classical.bch(7, 6), quantum.color17(), hc_mode="pt", t_src=1)
+
+
+BUILD_CASES = {
+    "desk": (desk_instance, "X", None),
+    # t_C = 3, one column: a wider build aborts on a syndrome conflict
+    "hamming3pt-rep3-tc3": (lambda: ProductCode(classical.hamming(3), quantum.rep3(),
+                                                hc_mode="pt", t_c=3), "X", 1),
+    "bch15:3-steane": (lambda: ProductCode(classical.bch(4, 3), quantum.steane()), "X", None),
+    "bch15:3pt-steane-t_src1": (lambda: ProductCode(classical.bch(4, 3), quantum.steane(),
+                                                    hc_mode="pt", t_src=1), "X", 1),
+    "color17-rep5pt": (lambda: ProductCode(classical.repetition(5), quantum.color17(),
+                                           hc_mode="pt"), "X", None),
+    "color17-rep5pt-Z": (lambda: ProductCode(classical.repetition(5), quantum.color17(),
+                                             hc_mode="pt"), "Z", None),
+    "steane-hamming3-full": (lambda: ProductCode(classical.hamming(3), quantum.steane()),
+                             "X", None),
+    "bch127:6pt-color17-t_src1": (paper_scale_t_src_1, "X", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILD_CASES))
+def test_build_matches_reference_loop(case):
+    """Same entries, insertion order, representatives, key_bits and column cap
+    as the per-pattern loop."""
+    make, error_type, max_cols = BUILD_CASES[case]
+    pc = make()
+    got = product.build_lookup_table(pc, error_type, max_cols=max_cols)
+    want = reference_build(pc, error_type, max_cols)
+    assert got == want
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert (got.key_bits, got.max_cols) == (want.key_bits, want.max_cols)
+
+
+def test_build_blocks_split_inside_a_column_combination(monkeypatch):
+    """Blocks of 5 and 1 patterns cut through the 49 patterns of each column
+    pair; the table and its order do not change."""
+    pc = ProductCode(classical.bch(4, 3), quantum.steane(), t_c=2)
+    want = reference_build(pc)
+    for block in (5, 1):
+        monkeypatch.setattr(product, "TABLE_BLOCK", block)
+        got = product.build_lookup_table(pc)
+        assert list(got.entries.items()) == list(want.entries.items())
+
+
+@pytest.mark.parametrize("make,max_cols", [
+    (lambda: ProductCode(classical.bch(4, 3), quantum.steane(), t_c=1, t_q=2), None),
+    (lambda: ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt", t_c=3), None),
+])
+def test_build_conflict_text_matches_reference_loop(make, max_cols):
+    pc = make()
+    with pytest.raises(GF2Error, match="conflict") as want:
+        reference_build(pc, max_cols=max_cols)
+    with pytest.raises(GF2Error) as got:
+        product.build_lookup_table(pc, max_cols=max_cols)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("make,max_cols,patterns,keys", [
+    (lambda: ProductCode(classical.bch(4, 3), quantum.steane()), None, 161316, 161316),
+    (paper_scale_t_src_1, 1, 13006, 9776),
+])
+def test_build_tests_stabilizer_equivalence_only_on_collisions(monkeypatch, make, max_cols,
+                                                               patterns, keys):
+    """differs_by_stabilizers runs once per pattern whose key is already
+    stored, the zero pattern included in the count."""
+    pc = make()
+    calls = [0]
+    differs = quantum.differs_by_stabilizers
+
+    def counting(*args):
+        calls[0] += 1
+        return differs(*args)
+
+    monkeypatch.setattr(quantum, "differs_by_stabilizers", counting)
+    table = product.build_lookup_table(pc, max_cols=max_cols)
+    assert product.class_E_size(pc, max_cols) == patterns
+    assert len(table.entries) == keys
+    assert calls[0] == patterns - keys
+
+
+def reference_save(table, path):
+    """The writer chunked records replaced: every line held as a string."""
+    header = product._table_header(table.pc, table.error_type, table.max_cols,
+                                   len(table.entries))
+    lines = ["qproduct-lut " + " ".join(f"{k}={v}" for k, v in header.items())]
+    for key in sorted(table.entries):
+        lines.append(f"{key:x} {table.entries[key]:x}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("which", ["paper-scale", "zero-only", "many-chunks"])
+def test_writer_bytes_match_reference_writer(tmp_path, monkeypatch, which):
+    """Byte-identical files, and a lossless round trip: 336-bit keys with
+    1,445-bit corrections, the one-record table, and a table of 5,251
+    records written in chunks of 100 (the last one partial)."""
+    if which == "paper-scale":
+        pc = paper_scale_t_src_1()
+        table = product.build_lookup_table(pc, max_cols=1)
+        assert (table.key_bits, pc.N) == (336, 1445)
+    elif which == "zero-only":
+        pc = desk_instance()
+        table = product.LookupTable(pc=pc, error_type="X", key_bits=6, entries={0: 0},
+                                    max_cols=1)
+    else:
+        pc = ProductCode(classical.bch(4, 3), quantum.steane(), t_c=2)
+        table = product.build_lookup_table(pc)
+        monkeypatch.setattr(product, "TABLE_CHUNK", 100)
+        assert len(table.entries) == 5251
+    product.save_lookup_table(table, str(tmp_path / "got.lut"))
+    reference_save(table, str(tmp_path / "want.lut"))
+    assert (tmp_path / "got.lut").read_bytes() == (tmp_path / "want.lut").read_bytes()
+    assert product.load_lookup_table(str(tmp_path / "got.lut"), pc) == table
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -349,6 +349,27 @@ TRIAGE_CASES = {
 }
 
 
+NOISY_CASES = [case for case in TRIAGE_CASES if TRIAGE_CASES[case]()[1].get("syndrome_noise")]
+
+
+@pytest.mark.parametrize("case", NOISY_CASES + ["paper-scale"])
+def test_noise_probs_match_per_bit_list(case):
+    """One syndrome_error_prob call per distinct gate count gives the same
+    array as one call per key bit, here and at 336 key bits (L = 85)."""
+    if case == "paper-scale":
+        pc = ProductCode(classical.bch(7, 6), quantum.color17(), hc_mode="pt", t_src=1)
+        p_e = 1e-3
+    else:
+        pc, kwargs, _ = TRIAGE_CASES[case]()
+        p_e = kwargs["p_e"]
+    hq, hc = pc.q.check_matrix("X"), pc.h_c
+    want = np.array([analytics.syndrome_error_prob(wq * wc, p_e)
+                     for wq in hq.row_weights() for wc in hc.row_weights()])
+    got = sim._noise_probs(hq, hc, p_e)
+    assert got.dtype == want.dtype and len(got) == hq.rows * hc.rows
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("shots", [1, 1000, 40000])
 @pytest.mark.parametrize("case", list(TRIAGE_CASES))
 def test_run_trials_triage_matches_per_shot_loop(case, shots):
