@@ -231,13 +231,7 @@ def minimum_distance(G: BitMatrix) -> int:
         return 0
     best = G.cols + 1
     for mask in range(1, 1 << G.rows):
-        acc = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            acc ^= G.row_data[low.bit_length() - 1]
-            mm ^= low
-        w = acc.bit_count()
+        w = gf2.xor_bits(G.row_data, mask).bit_count()
         if w and w < best:
             best = w
     return best
@@ -296,17 +290,11 @@ def bm_locate(code: ClassicalCode, word: int) -> list[int] | None:
     X_l^2 that forces every Y_l into {0, 1}, and the minimality of L
     rules out 0, so flipping the deg roots leaves a codeword.
     """
-    table = code.odd_syndromes
-    gf = code.gf
-    m, t, mask = gf.m, code.t, gf.order  # order = 2^m - 1, one field
-    packed = 0
-    w = word
-    while w:
-        low = w & -w
-        packed ^= table[low.bit_length() - 1]
-        w ^= low
+    packed = gf2.xor_bits(code.odd_syndromes, word)
     if not packed:
         return []
+    gf = code.gf
+    m, t, mask = gf.m, code.t, gf.order  # order = 2^m - 1, one field
     syn = [0] * (2 * t)  # syn[j - 1] = S_j; S_2j = S_j^2 over GF(2)
     for j in range(t):
         syn[2 * j] = (packed >> (j * m)) & mask

@@ -134,22 +134,23 @@ def support(v: BitMatrix) -> list[int]:
     return out
 
 
+def xor_bits(values: Sequence[int], packed: int) -> int:
+    """XOR of ``values[i]`` over the set bits i of ``packed``."""
+    acc = 0
+    while packed:
+        low = packed & -packed
+        acc ^= values[low.bit_length() - 1]
+        packed ^= low
+    return acc
+
+
 def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2)."""
     if a.cols != b.rows:
         raise GF2Error(
             f"mul shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
         )
-    data = []
-    for i in range(a.rows):
-        acc = 0
-        r = a.row_data[i]
-        while r:
-            low = r & -r
-            acc ^= b.row_data[low.bit_length() - 1]
-            r ^= low
-        data.append(acc)
-    return BitMatrix(data, b.cols)
+    return BitMatrix([xor_bits(b.row_data, r) for r in a.row_data], b.cols)
 
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:

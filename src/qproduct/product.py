@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +139,13 @@ def key_map(hq: BitMatrix, hc: BitMatrix) -> list[int]:
     return [col * s for col in hc.transpose().row_data for s in spread]
 
 
+def class_map(q: CssCode, error_type: str, L: int) -> list[int]:
+    """Class of each vec bit l*n + q, ``key_map`` of ``q.class_check`` over
+    L columns: two n x L corrections are stabilizer-equivalent column by
+    column iff ``gf2.xor_bits`` of this over their difference is 0."""
+    return key_map(q.class_check(error_type), BitMatrix.identity(L))
+
+
 def extract_syndrome(pc: ProductCode, e: ErrorPattern) -> ProductSyndrome:
     """Xi = H_Q eps H_C^T; equals the reshaped (H_C (x) H_Q) vec(eps)."""
     if (e.n, e.L) != (pc.q.n, pc.L):
@@ -243,10 +249,11 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
     """Enumerate the uniquely decodable class and key it by syndrome.
 
     Patterns sharing a syndrome must differ column-wise by quantum
-    stabilizer elements (degeneracy); any other collision aborts with the
-    two patterns and the shared key.  Enumeration order is by number of
-    columns hit, then column combination, then per-column pattern, so the
-    stored correction is the first-enumerated representative.  Each column
+    stabilizer elements (degeneracy): ``class_map``, built at the first
+    collision, must send their difference to 0, or the build aborts with
+    the two patterns and the shared key.  Enumeration order is by number
+    of columns hit, then column combination, then per-column pattern, so
+    the stored correction is the first-enumerated representative.  Each column
     count is keyed in numpy blocks of at most TABLE_BLOCK patterns: a
     pattern's key is the XOR of its columns' keys and its correction the OR
     of theirs, as ``int_array`` values (int64, or Python ints past 63 bits).
@@ -265,18 +272,17 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
             f"lookup table would hold {size} entries (limit {TABLE_SIZE_GUARD})"
         )
     n = pc.q.n
-    span = pc.q.stabilizer_span(error_type)
     hq, hc = pc.q.check_matrix(error_type), pc.h_c
     bit_keys = key_map(hq, hc)
     # per-column patterns of weight 1..t_q; entry ell * len(patterns) + pi of
     # key_of and fix_of is the key and the correction of pattern pi in column ell
-    supports = [supp for w in range(1, pc.t_q + 1)
+    patterns = [sum(1 << i for i in supp) for w in range(1, pc.t_q + 1)
                 for supp in itertools.combinations(range(n), w)]
-    patterns = [sum(1 << i for i in supp) for supp in supports]
-    key_of = int_array([functools.reduce(operator.xor, (bit_keys[ell * n + i] for i in supp))
-                        for ell in range(hc.cols) for supp in supports])
+    columns = [bit_keys[ell * n:(ell + 1) * n] for ell in range(hc.cols)]
+    key_of = int_array([gf2.xor_bits(col, pat) for col in columns for pat in patterns])
     fix_of = int_array([pat << (ell * n) for ell in range(hc.cols) for pat in patterns])
 
+    classes = None  # built at the first key collision
     entries: dict[int, int] = {0: 0}
     for c in range(1, max_cols + 1):
         combos = np.array(list(itertools.combinations(range(hc.cols), c)),
@@ -292,8 +298,10 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
                 keys, fixes = keys ^ key_of[at], fixes | fix_of[at]
             for key, packed in zip(keys.tolist(), fixes.tolist()):
                 other = entries.setdefault(key, packed)  # packed itself iff the key is new
-                if other != packed and not quantum.differs_by_stabilizers(
-                        other ^ packed, n, span):
+                if other == packed:
+                    continue
+                classes = classes or class_map(pc.q, error_type, hc.cols)
+                if gf2.xor_bits(classes, other ^ packed):
                     raise GF2Error(
                         f"syndrome conflict: patterns {other:#x} and "
                         f"{packed:#x} share key {key:#x} but are not "

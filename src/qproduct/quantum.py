@@ -2,7 +2,9 @@
 
 Constructors for the three-qubit bit-flip, Steane, [[17,1,5]] color and
 [[23,1,7]] Golay codes, binary syndrome extraction, normalizer generators,
-and degeneracy-aware coset tables.
+and degeneracy-aware coset tables.  A pattern is a same-type stabilizer
+element iff ``CssCode.class_check`` (the check over the opposite-type
+logicals) maps it to zero, so degeneracy is one linear test.
 """
 
 from __future__ import annotations
@@ -98,13 +100,12 @@ class CssCode:
         """Binary stabilizer generators of the same type as the error."""
         return self.hx if error_type == "X" else self.hz
 
-    def stabilizer_span(self, error_type: str) -> frozenset[int]:
-        """Every same-type stabilizer element, as a packed n-bit int."""
-        red, r, _ = gf2.rref(self.stabilizer_matrix(error_type))
-        space = {0}
-        for b in red.row_data[:r]:
-            space |= {s ^ b for s in space}
-        return frozenset(space)
+    def class_check(self, error_type: str) -> BitMatrix:
+        """The check over the opposite-type logicals: a pattern of the given
+        type is a same-type stabilizer element iff this maps it to zero
+        (Gottesman, quant-ph/9705052)."""
+        return self.check_matrix(error_type).vstack(
+            logical_matrix(self, "Z" if error_type == "X" else "X"))
 
     def row_reduced(self, error_type: str = "X") -> BitMatrix:
         """Row-reduced parity check (same row space, no column permutation)."""
@@ -225,45 +226,28 @@ class CosetTable:
         return self.entries[key][0]
 
 
-def differs_by_stabilizers(diff: int, n: int, span: frozenset[int]) -> bool:
-    """True when every n-bit column of a packed difference lies in ``span``.
-
-    ``diff`` is the XOR of two n x L patterns packed column after column
-    (``ErrorPattern.packed``); one n-bit pattern is the L = 1 case.  Such
-    patterns are equivalent corrections: they differ by stabilizers only.
-    """
-    mask = (1 << n) - 1
-    while diff:
-        if (diff & mask) not in span:
-            return False
-        diff >>= n
-    return True
-
-
 def build_coset_table(q: CssCode, max_wt: int, error_type: str = "X",
                       row_reduced: bool = False) -> CosetTable:
     """Group all weight <= max_wt patterns of one type by syndrome.
 
     Verifies that members sharing a syndrome differ by a stabilizer
-    element (degeneracy); a genuine conflict raises, signalling that
-    max_wt exceeds the code's capability.
+    element (degeneracy: ``class_check`` maps their difference to zero);
+    a genuine conflict raises, signalling that max_wt exceeds the code's
+    capability.
     """
     if q.n > 23 or max_wt > 3:
         raise GF2Error(f"coset enumeration too large: n={q.n}, max_wt={max_wt}")
     check = q.row_reduced(error_type) if row_reduced else q.check_matrix(error_type)
-    span = q.stabilizer_span(error_type)
     col_syn = check.transpose().row_data
+    col_class = q.class_check(error_type).transpose().row_data
     entries: dict[int, list[int]] = {}
     for w in range(1, max_wt + 1):
         for supp in itertools.combinations(range(q.n), w):
-            pat = 0
-            syn = 0
-            for i in supp:
-                pat |= 1 << i
-                syn ^= col_syn[i]
+            pat = sum(1 << i for i in supp)
+            syn = gf2.xor_bits(col_syn, pat)
             if syn in entries:
                 rep = entries[syn][0]
-                if not differs_by_stabilizers(rep ^ pat, q.n, span):
+                if gf2.xor_bits(col_class, rep ^ pat):
                     raise GF2Error(
                         f"syndrome conflict at weight {w}: patterns "
                         f"{rep:#x} and {pat:#x} share syndrome {syn:#x} "

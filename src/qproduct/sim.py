@@ -9,7 +9,9 @@ and triages only the nonzero shots (keys from per-byte XOR tables); all-zero
 shots share one outcome, decided once per call.  One ``decoder.nearest_key``
 call per batch turns the keys into stored corrections: at radius 0, exact
 lookup, in lookup mode, and within the corruption budget t_C - t_src in
-min-distance mode.
+min-distance mode.  A stored correction that differs from the truth is a
+degenerate hit iff ``product.class_map``, built only for a batch that has
+such a shot, sends the difference to 0.
 
 Randomness comes from numpy's Philox counter-based generator, so streams
 are reproducible bit-exactly from the 64-bit seed on any platform.
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytics, decoder, quantum
+from . import analytics, decoder, gf2
 from .gf2 import BitMatrix, GF2Error
-from .product import LookupTable, ProductCode, build_lookup_table, check_table, key_map
+from .product import LookupTable, ProductCode, build_lookup_table, check_table, class_map, key_map
 
 BATCH = 1 << 15
 
@@ -124,7 +126,6 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
         raise GF2Error("simulation fast path limited to 62-bit patterns/keys")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     key_tables = _key_tables(key_map(hq, hc))
-    span = pc.q.stabilizer_span(cfg.error_type)
     radius = pc.t_c - pc.t_src if cfg.decode_mode == "min_distance" else 0  # 0: exact lookup
     noise_probs = _noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
 
@@ -146,9 +147,10 @@ def run_trials(cfg: TrialConfig, table: LookupTable | None = None) -> TrialRepor
         counts["decode_errors"] += int(np.count_nonzero(status == "not_found"))
         # one classification of stored against true correction, both modes
         wrong = (status == "ok") & (stored != truths)
-        for diff in (stored[wrong] ^ truths[wrong]).tolist():
-            degenerate = quantum.differs_by_stabilizers(diff, n, span)
-            counts["degenerate_hits" if degenerate else "decode_errors"] += 1
+        if wrong.any():  # the class map is built only for a batch that needs it
+            classes = class_map(pc.q, cfg.error_type, L)
+            for diff in (stored[wrong] ^ truths[wrong]).tolist():
+                counts["decode_errors" if gf2.xor_bits(classes, diff) else "degenerate_hits"] += 1
 
     breakdown = {"class_misses": 0, "decode_errors": 0, "ambiguities": 0,
                  "noise_over_budget": 0, "degenerate_hits": 0}

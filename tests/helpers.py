@@ -80,6 +80,53 @@ def q_syndrome(q: CssCode, e: PauliOp) -> tuple[BitMatrix, BitMatrix]:
     return sx, sz
 
 
+def stabilizer_span(q: CssCode, error_type: str) -> frozenset[int]:
+    """Every same-type stabilizer element, as a packed n-bit int: the
+    enumerated reference for ``CssCode.class_check``."""
+    red, r, _ = gf2.rref(q.stabilizer_matrix(error_type))
+    space = {0}
+    for b in red.row_data[:r]:
+        space |= {s ^ b for s in space}
+    return frozenset(space)
+
+
+def differs_by_stabilizers(diff: int, n: int, span: frozenset[int]) -> bool:
+    """True when every n-bit column of a packed difference lies in ``span``:
+    the column-wise reference for ``product.class_map``.
+
+    ``diff`` is the XOR of two n x L patterns packed column after column
+    (``ErrorPattern.packed``); one n-bit pattern is the L = 1 case.
+    """
+    mask = (1 << n) - 1
+    while diff:
+        if (diff & mask) not in span:
+            return False
+        diff >>= n
+    return True
+
+
+def count_class_evaluations(monkeypatch, module) -> dict[str, int]:
+    """Patch ``module.class_map`` and ``gf2.xor_bits`` to count the class
+    maps the module builds ("maps") and the xor_bits calls over one of them
+    ("evaluations"); returns the live counts."""
+    counts = {"maps": 0, "evaluations": 0}
+    built = []
+    class_map, xor_bits = module.class_map, gf2.xor_bits
+
+    def counting_class_map(*args):
+        counts["maps"] += 1
+        built.append(class_map(*args))
+        return built[-1]
+
+    def counting_xor_bits(values, packed):
+        counts["evaluations"] += any(values is m for m in built)
+        return xor_bits(values, packed)
+
+    monkeypatch.setattr(module, "class_map", counting_class_map)
+    monkeypatch.setattr(gf2, "xor_bits", counting_xor_bits)
+    return counts
+
+
 def pattern_from_packed(value: int, n: int, L: int, error_type: str = "X") -> ErrorPattern:
     """The inverse of ErrorPattern.packed()."""
     return ErrorPattern(unvec(BitMatrix([value], n * L), n, L), error_type)

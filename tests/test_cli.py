@@ -152,6 +152,25 @@ def test_localize_rows_command(capsys, tmp_path):
     assert json.loads(out)["logical_indices"] == [4, 9, 14]
 
 
+def test_localize_reads_rows_wider_than_64_bits(capsys, tmp_path):
+    """bch:1023:11pt rows are R = 110 bits wide: syndrome-bit flips at bits
+    62, 63, 64 and 109 of a row that also sees both logical errors leave
+    every row's logical support as injected."""
+    pc = product.ProductCode(classical.bch(10, 11), quantum.color17(), hc_mode="pt")
+    cols = [0] * pc.L
+    cols[0], cols[912] = 1 << 0, 1 << 4  # X1 in column 0, X5 in column 912
+    xi = product.extract_syndrome(pc, product._pattern_from_columns(cols, 17, "X")).matrix
+    assert xi.cols == 110
+    rows = list(xi.row_data)
+    rows[1] ^= (1 << 62) | (1 << 63) | (1 << 64) | (1 << 109)
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_text(gf2.to_text(gf2.BitMatrix(rows, xi.cols)))
+    code, out, err = run(capsys, "localize", "--c", "bch:1023:11pt", "--q", "color17",
+                         "--xi", str(xi_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["per_row_supports"] == [[0], [0, 912], [912], [], [], [], [], []]
+
+
 @pytest.mark.parametrize("c,extra,text", [
     ("bch:15:2pt", (), "1 10\n0000000001\n"),            # the code's Xi is 3 x 8
     ("bch:15:2pt", (), "2 8\n00000001\n00000000\n"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qproduct import gf2, product
+from qproduct import classical, gf2, product
 from qproduct.gf2 import BitMatrix, GF2Error
 
 from helpers import (from_numpy, int_to_bits, row_bits, to_lists, to_numpy, unvec,
@@ -251,3 +251,43 @@ def test_reshapes_match_per_bit_reference(case):
     e = product.ErrorPattern(m)
     assert list(e.matrix.transpose().row_data) == ref_cols
     assert product._pattern_from_columns(ref_cols, m.rows, "X") == e
+
+
+def naive_xor_bits(values, packed):
+    """XOR of values[i] over every i whose bit is set, one index at a time."""
+    acc = 0
+    for i, v in enumerate(values):
+        if (packed >> i) & 1:
+            acc ^= v
+    return acc
+
+
+@st.composite
+def values_and_packed(draw):
+    """Values up to 130 bits wide and a packed int over their indices."""
+    width = draw(st.integers(1, 130))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=140))
+    return values, draw(st.integers(0, (1 << len(values)) - 1))
+
+
+@given(values_and_packed())
+@example(([], 0))
+@example(([5, 7, 9], 0))
+@example(([1, 0, 1, 1], 0b1101))
+@example(([(1 << 110) - 1, 1 << 64, 3], 0b111))
+@example(([1] * 140, (1 << 140) - 1))
+def test_xor_bits_matches_naive_loop(case):
+    values, packed = case
+    assert gf2.xor_bits(values, packed) == naive_xor_bits(values, packed)
+
+
+BCH1023_SYNDROMES = classical.bch(10, 11).odd_syndromes  # 1,023 entries, 110 bits wide
+
+
+@given(st.one_of(st.integers(0, (1 << 1023) - 1),
+                 st.sets(st.integers(0, 1022), max_size=12).map(
+                     lambda supp: sum(1 << i for i in supp))))
+@example(0)
+@example(1 << 1022)
+def test_xor_bits_matches_naive_loop_on_bch1023_syndromes(word):
+    assert gf2.xor_bits(BCH1023_SYNDROMES, word) == naive_xor_bits(BCH1023_SYNDROMES, word)

@@ -12,7 +12,8 @@ from qproduct import classical, gf2, product, quantum
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ErrorPattern, ProductCode
 
-from helpers import is_normalizer_element, pattern_from_packed, syndrome, syndrome_from_key
+from helpers import (count_class_evaluations, differs_by_stabilizers, is_normalizer_element,
+                     pattern_from_packed, stabilizer_span, syndrome, syndrome_from_key)
 
 
 def desk_instance():
@@ -247,7 +248,7 @@ def reference_build(pc, error_type="X", max_cols=None):
     enumeration order, first representative kept, conflicts raised."""
     max_cols = pc.t_c if max_cols is None else max_cols
     n = pc.q.n
-    span = pc.q.stabilizer_span(error_type)
+    span = stabilizer_span(pc.q, error_type)
     hq, hc = pc.q.check_matrix(error_type), pc.h_c
     bit_keys = product.key_map(hq, hc)
     supports = [supp for w in range(1, pc.t_q + 1)
@@ -265,7 +266,7 @@ def reference_build(pc, error_type="X", max_cols=None):
                     key ^= contribs[ell][pi]
                 if key in entries:
                     other = entries[key]
-                    if not quantum.differs_by_stabilizers(other ^ packed, n, span):
+                    if not differs_by_stabilizers(other ^ packed, n, span):
                         raise GF2Error(
                             f"syndrome conflict: patterns {other:#x} and "
                             f"{packed:#x} share key {key:#x} but are not "
@@ -344,21 +345,15 @@ def test_build_conflict_text_matches_reference_loop(make, max_cols):
 ])
 def test_build_tests_stabilizer_equivalence_only_on_collisions(monkeypatch, make, max_cols,
                                                                patterns, keys):
-    """differs_by_stabilizers runs once per pattern whose key is already
-    stored, the zero pattern included in the count."""
+    """The stabilizer-equivalence class is evaluated once per pattern whose
+    key is already stored, the zero pattern included in the count, and the
+    class map is built only at the first such collision."""
     pc = make()
-    calls = [0]
-    differs = quantum.differs_by_stabilizers
-
-    def counting(*args):
-        calls[0] += 1
-        return differs(*args)
-
-    monkeypatch.setattr(quantum, "differs_by_stabilizers", counting)
+    counts = count_class_evaluations(monkeypatch, product)
     table = product.build_lookup_table(pc, max_cols=max_cols)
     assert product.class_E_size(pc, max_cols) == patterns
     assert len(table.entries) == keys
-    assert calls[0] == patterns - keys
+    assert counts == {"maps": int(patterns > keys), "evaluations": patterns - keys}
 
 
 def reference_save(table, path):
@@ -451,9 +446,37 @@ def test_stabilizer_equivalent():
     b = pattern(pc, 0b0110010)           # X2 X5 X6 ... build from stabilizer
     s = pc.q.hx.row_data[0]              # X1 X4 X6 X7
     b = pattern(pc, a.packed() ^ s)
-    span = pc.q.stabilizer_span("X")
-    assert quantum.differs_by_stabilizers(a.packed() ^ b.packed(), pc.q.n, span)
-    assert not quantum.differs_by_stabilizers(1, pc.q.n, span)
+    classes = product.class_map(pc.q, "X", pc.L)
+    span = stabilizer_span(pc.q, "X")
+    for diff, equivalent in ((a.packed() ^ b.packed(), True), (s << (5 * pc.q.n), True),
+                             (1, False), (s | 1 << pc.q.n, False)):
+        assert (gf2.xor_bits(classes, diff) == 0) == equivalent
+        assert differs_by_stabilizers(diff, pc.q.n, span) == equivalent
+
+
+@pytest.mark.parametrize("error_type", ["X", "Z"])
+@pytest.mark.parametrize("make", [
+    desk_instance,
+    lambda: ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt"),
+], ids=["desk", "bch15pt-steane"])
+def test_class_map_matches_columnwise_span_test(make, error_type):
+    """Random n*L-bit differences, each column a span element with
+    probability 0.8 and a random column otherwise, classified by class_map
+    and by the column-wise span oracle."""
+    pc = make()
+    n, L = pc.q.n, pc.L
+    classes = product.class_map(pc.q, error_type, L)
+    span = stabilizer_span(pc.q, error_type)
+    members = sorted(span)
+    rng = random.Random(f"{pc.c.kind}-{pc.q.kind}-{error_type}")
+    outcomes = set()
+    for _ in range(20_000):
+        diff = sum((rng.choice(members) if rng.random() < 0.8 else rng.getrandbits(n))
+                   << (ell * n) for ell in range(L))
+        equivalent = differs_by_stabilizers(diff, n, span)
+        assert (gf2.xor_bits(classes, diff) == 0) == equivalent
+        outcomes.add(equivalent)
+    assert outcomes == {True, False}
 
 
 # -- channel coding ----------------------------------------------------------

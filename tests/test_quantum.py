@@ -1,6 +1,7 @@
 """CSS code constructors, syndromes, normalizers, coset tables."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from qproduct import classical, gf2, quantum
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.quantum import PauliOp, pauli_from_string
 
-from helpers import q_syndrome, row_bits, to_lists
+from helpers import q_syndrome, row_bits, stabilizer_span, to_lists
 
 
 ALL_CODES = [quantum.rep3, quantum.steane, quantum.color17, quantum.golay_css]
@@ -56,7 +57,7 @@ def test_distance_by_bounded_weight_search(ctor):
     weight exactly d does (kernel of the check minus the stabilizer span)."""
     q = ctor()
     check = q.check_matrix("X")
-    stab = q.stabilizer_span("X")
+    stab = stabilizer_span(q, "X")
     col_syn = [gf2.bits_to_int([check.get(i, j) for i in range(check.rows)])
                for j in range(q.n)]
     limit = min(q.d, 4)  # golay's weight-7 witness is checked via its logical
@@ -72,6 +73,25 @@ def test_distance_by_bounded_weight_search(ctor):
     coset_min = min((row ^ s).bit_count()
                     for row in logical.row_data for s in stab)
     assert coset_min == q.d
+
+
+@pytest.mark.parametrize("error_type", ["X", "Z"])
+@pytest.mark.parametrize("ctor", ALL_CODES)
+def test_class_check_kernel_is_the_stabilizer_span(ctor, error_type):
+    """class_check maps a same-type pattern to 0 iff the enumerated span
+    holds it: every vector up to n = 17; on golay every span element, every
+    span element times the logical, and 200,000 random vectors."""
+    q = ctor()
+    cols = q.class_check(error_type).transpose().row_data
+    span = stabilizer_span(q, error_type)
+    if q.n <= 17:
+        vectors = range(1 << q.n)
+    else:
+        logical = quantum.logical_matrix(q, error_type).row_data[0]
+        rng = random.Random(f"golay-{error_type}")
+        vectors = ([*span] + [s ^ logical for s in span]
+                   + [rng.getrandbits(q.n) for _ in range(200_000)])
+    assert [v for v in vectors if (gf2.xor_bits(cols, v) == 0) != (v in span)] == []
 
 
 def test_q_syndrome_identity_zero():
@@ -118,7 +138,7 @@ def test_steane_normalizer_includes_table_generators():
     op = pauli_from_string("X2X3X5", 7)
     sx, sz = q_syndrome(q, op)
     assert sx.is_zero() and sz.is_zero()
-    stab = q.stabilizer_span("X")
+    stab = stabilizer_span(q, "X")
     assert op.x not in stab
     logical = quantum.logical_matrix(q, "X").row_data[0]
     assert (op.x ^ logical) in stab
@@ -160,7 +180,7 @@ def test_coset_table_degenerate_coset_members():
     members = {str(PauliOp(n=17, x=m)) for m in table.entries[key]}
     assert members == {"X1X3", "X2X4", "X5X6", "X9X10", "X13X14"}
     # the member products are stabilizer elements
-    stab = q.stabilizer_span("X")
+    stab = stabilizer_span(q, "X")
     for a, b in itertools.combinations(table.entries[key], 2):
         assert (a ^ b) in stab
 
@@ -168,7 +188,7 @@ def test_coset_table_degenerate_coset_members():
 def test_coset_table_corrections_return_to_codespace():
     q = quantum.steane()
     table = quantum.build_coset_table(q, 1)
-    stab = q.stabilizer_span("X")
+    stab = stabilizer_span(q, "X")
     for key, members in table.entries.items():
         rep = table.representative(key)
         for m in members:

@@ -13,7 +13,8 @@ from qproduct.gf2 import GF2Error
 from qproduct.product import ProductCode
 from qproduct.sim import TrialConfig
 
-from helpers import brute_nearest, pattern_from_packed, to_numpy
+from helpers import (brute_nearest, count_class_evaluations, differs_by_stabilizers,
+                     pattern_from_packed, stabilizer_span, to_numpy)
 
 
 def desk_instance():
@@ -186,18 +187,23 @@ def test_run_trials_with_syndrome_noise():
 
 
 @pytest.mark.parametrize("mode", ["lookup", "min_distance"])
-def test_run_trials_stabilizer_shifted_table_hits_are_degenerate(mode):
+def test_run_trials_stabilizer_shifted_table_hits_are_degenerate(monkeypatch, mode):
     """Every stored correction shifted by a stabilizer in the last column:
-    each in-class shot decodes to a degenerate hit, never to a failure."""
+    each in-class shot decodes to a degenerate hit, never to a failure.
+    The class map is built once for the all-zero outcome and once for the
+    one batch, and evaluated once per classified shot."""
     pc = ProductCode(classical.bch(4, 3), quantum.steane(), hc_mode="pt",
                      t_src=1)
     table = product.build_lookup_table(pc)
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
     table = dataclasses.replace(table, entries={k: v ^ shift for k, v in table.entries.items()})
+    counts = count_class_evaluations(monkeypatch, sim)
     rep = sim.run_trials(TrialConfig(pc=pc, p=0.02, shots=2000, seed=3,
                                      decode_mode=mode), table)
     assert rep.failures == rep.breakdown["class_misses"]
     assert rep.breakdown["degenerate_hits"] == rep.shots - rep.failures
+    assert counts["maps"] == 2
+    assert 0 < counts["evaluations"] <= rep.breakdown["degenerate_hits"]
 
 
 def test_run_trials_ties_charged_as_ambiguities():
@@ -235,7 +241,7 @@ def reference_run_trials(cfg, table):
     n, L = pc.q.n, pc.L
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     key_mat = _key_matrix(hq, hc)
-    span = pc.q.stabilizer_span(cfg.error_type)
+    span = stabilizer_span(pc.q, cfg.error_type)
     lookup = cfg.decode_mode == "lookup"
     entries = table.entries
     skip_zero = lookup and entries.get(0) == 0
@@ -284,7 +290,7 @@ def reference_run_trials(cfg, table):
                     cause = "ambiguities"
             if stored == truth:
                 continue
-            if stored is not None and quantum.differs_by_stabilizers(stored ^ truth, n, span):
+            if stored is not None and differs_by_stabilizers(stored ^ truth, n, span):
                 breakdown["degenerate_hits"] += 1
             else:
                 failures += 1
@@ -450,33 +456,32 @@ def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
     """Lookup mode reads the table with one exact (radius 0) nearest_key
     call per batch and one for the all-zero outcome, builds no index, and
     only shots whose stored correction differs from the truth reach the
-    stabilizer-equivalence test."""
-    calls = {"nearest_key": 0, "differs": 0}
-    nearest_key, differs = decoder.nearest_key, quantum.differs_by_stabilizers
+    stabilizer-equivalence class, whose map is built at most once per
+    batch."""
+    calls = {"nearest_key": 0}
+    nearest_key = decoder.nearest_key
 
     def counting_nearest_key(table, keys, radius):
         calls["nearest_key"] += 1
         assert radius == 0
         return nearest_key(table, keys, radius)
 
-    def counting_differs(*args):
-        calls["differs"] += 1
-        return differs(*args)
-
     monkeypatch.setattr(decoder, "nearest_key", counting_nearest_key)
-    monkeypatch.setattr(quantum, "differs_by_stabilizers", counting_differs)
     pc = desk_instance()
     table = product.build_lookup_table(pc)
+    counts = count_class_evaluations(monkeypatch, sim)
     for shots in (2000, 20000, 2 * sim.BATCH + 1):
-        calls.update(nearest_key=0, differs=0)
+        calls.update(nearest_key=0)
+        counts.update(maps=0, evaluations=0)
         rep = sim.run_trials(TrialConfig(pc=pc, p=0.05, shots=shots, seed=7), table)
         assert rep.breakdown["class_misses"] > 0
         assert calls["nearest_key"] == 1 + -(-shots // sim.BATCH)
         assert "index" not in vars(table)
         # with the desk table every in-class key is stored, so a failure
         # with a stored entry is a decode error
-        assert calls["differs"] == (rep.breakdown["degenerate_hits"]
-                                    + rep.breakdown["decode_errors"])
+        assert counts["evaluations"] == (rep.breakdown["degenerate_hits"]
+                                         + rep.breakdown["decode_errors"])
+        assert counts["maps"] <= min(counts["evaluations"], -(-shots // sim.BATCH))
 
 
 @pytest.mark.parametrize("mode", ["lookup", "min_distance"])
