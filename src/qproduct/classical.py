@@ -139,7 +139,7 @@ class ClassicalCode:
     def standard_array(self) -> dict[int, int]:
         """Coset leader of each syndrome, built on first use and kept with
         this code."""
-        return build_standard_array(self)
+        return build_standard_array(self.H)
 
 
 def _cyclic_systematic(n: int, genpoly: int, d: int, kind: str,
@@ -240,31 +240,28 @@ def minimum_distance(G: BitMatrix) -> int:
 STANDARD_ARRAY_LIMIT = 1 << 24  # most syndromes build_standard_array enumerates
 
 
-def build_standard_array(code: ClassicalCode) -> dict[int, int]:
-    """Coset leader (packed int) of each of the 2^(n-k) syndromes (packed
-    int): minimum weight, ties broken by the smallest bit string
-    (b_0, b_1, ..., b_{n-1}).
+def build_standard_array(h: BitMatrix) -> dict[int, int]:
+    """Coset leader (packed int) of each of the 2^r syndromes (packed int)
+    of a full-rank r x n check matrix h: minimum weight, ties broken by the
+    smallest bit string (b_0, b_1, ..., b_{n-1}).
 
     Equal-weight supports first differ at the smallest element of their
     symmetric difference, which lies in the lexicographically first one,
     so reversed ``combinations`` order is ascending bit-string order.
     """
-    total = 1 << code.r
+    total = 1 << h.rows
     if total > STANDARD_ARRAY_LIMIT:
         raise GF2Error(
             f"standard array would need {total} entries (limit {STANDARD_ARRAY_LIMIT})"
         )
-    col_syn = code.H.transpose().row_data
+    col_syn = h.transpose().row_data
     leaders: dict[int, int] = {0: 0}
-    for w in range(1, code.n + 1):
+    for w in range(1, h.cols + 1):
         if len(leaders) == total:
             break
-        for support_ in reversed(list(itertools.combinations(range(code.n), w))):
-            s = 0
-            for i in support_:
-                s ^= col_syn[i]
-            if s not in leaders:
-                leaders[s] = sum(1 << i for i in support_)
+        for support_ in reversed(list(itertools.combinations(range(h.cols), w))):
+            pattern = sum(1 << i for i in support_)
+            leaders.setdefault(gf2.xor_bits(col_syn, pattern), pattern)
     if len(leaders) != total:
         raise GF2Error("standard array incomplete; H is rank deficient")
     return leaders
@@ -350,13 +347,3 @@ def _chien_roots(gf: GaloisField, sigma: list[int], n: int) -> list[int]:
     exps = (logs[:, None] - d[:, None] * np.arange(n)) % gf.order
     values = np.bitwise_xor.reduce(gf.exp_array[exps], axis=0)
     return np.flatnonzero(values == 0).tolist()
-
-
-def bm_decode(code: ClassicalCode, received: BitMatrix) -> list[int] | None:
-    """Decode a 1 x n received word of a BCH code to its error support
-    (``bm_locate`` after the argument checks)."""
-    if code.kind != "bch" or code.gf is None:
-        raise GF2Error(f"bm_decode requires a BCH code, got kind={code.kind!r}")
-    if received.rows != 1 or received.cols != code.n:
-        raise GF2Error(f"expected a 1x{code.n} word, got {received.rows}x{received.cols}")
-    return bm_locate(code, received.row_data[0])

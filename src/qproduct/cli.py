@@ -240,6 +240,9 @@ def cmd_simulate(args) -> int:
             raise GF2Error(f"{args.config}: not a JSON config: {exc}") from exc
     if not isinstance(raw, dict) or not {"c", "q", "p", "shots", "seed"} <= raw.keys():
         raise GF2Error(f"{args.config}: config must be an object with c, q, p, shots, seed")
+    unknown = sorted(raw.keys() - SIM_KEYS.keys())
+    if unknown:
+        raise GF2Error(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
     bad = [key for key, kind in SIM_KEYS.items() if key in raw and (
         not isinstance(raw[key], kind) or isinstance(raw[key], bool) != (kind is bool))]
     if bad:

@@ -371,13 +371,16 @@ def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:
         if missing:
             raise GF2Error(f"{path}: header lacks {', '.join(missing)}")
         entries = {}
+        records = 0
         try:
             max_cols = int(fields["mc"])
-            for line in fh:
+            for records, line in enumerate(fh, 1):
                 k, v = line.split()
                 entries[int(k, 16)] = int(v, 16)
         except ValueError as exc:
             raise GF2Error(f"{path}: malformed table file ({exc})") from None
+    if records != len(entries):
+        raise GF2Error(f"{path}: {records - len(entries)} repeated key(s)")
     expected = _table_header(pc, fields["type"], max_cols, len(entries))
     if fields["key_bits"] != expected["key_bits"]:
         raise GF2Error(

@@ -1,15 +1,16 @@
 """CSS stabilizer codes as binary data.
 
 Constructors for the three-qubit bit-flip, Steane, [[17,1,5]] color and
-[[23,1,7]] Golay codes, binary syndrome extraction, normalizer generators,
-and degeneracy-aware coset tables.  A pattern is a same-type stabilizer
-element iff ``CssCode.class_check`` (the check over the opposite-type
-logicals) maps it to zero, so degeneracy is one linear test.
+[[23,1,7]] Golay codes, binary syndrome extraction and normalizer
+generators.  A pattern is a same-type stabilizer element iff
+``CssCode.class_check`` (the check over the opposite-type logicals) maps it
+to zero, so degeneracy is one linear test.  Coset leaders of a check come
+from ``classical.build_standard_array``: below half the distance every
+pattern is stabilizer-equivalent to its leader.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import classical, gf2
@@ -107,11 +108,6 @@ class CssCode:
         return self.check_matrix(error_type).vstack(
             logical_matrix(self, "Z" if error_type == "X" else "X"))
 
-    def row_reduced(self, error_type: str = "X") -> BitMatrix:
-        """Row-reduced parity check (same row space, no column permutation)."""
-        red, r, _ = gf2.rref(self.check_matrix(error_type))
-        return BitMatrix(red.row_data[:r], red.cols)
-
     def stabilizer_weights(self) -> list[int]:
         return self.hx.row_weights() + self.hz.row_weights()
 
@@ -206,55 +202,3 @@ def normalizer_generators(q: CssCode, error_type: str = "X") -> list[PauliOp]:
     if error_type == "X":
         return [PauliOp(n=q.n, x=r) for r in rows]
     return [PauliOp(n=q.n, z=r) for r in rows]
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    """Map syndrome (packed int) -> list of min-weight patterns (packed ints).
-
-    The first member of each entry is the representative correction
-    (first in weight-then-lexicographic enumeration order).
-    """
-
-    code: CssCode
-    error_type: str
-    syndrome_bits: int
-    entries: dict[int, list[int]]
-    row_reduced: bool = False
-
-    def representative(self, key: int) -> int:
-        return self.entries[key][0]
-
-
-def build_coset_table(q: CssCode, max_wt: int, error_type: str = "X",
-                      row_reduced: bool = False) -> CosetTable:
-    """Group all weight <= max_wt patterns of one type by syndrome.
-
-    Verifies that members sharing a syndrome differ by a stabilizer
-    element (degeneracy: ``class_check`` maps their difference to zero);
-    a genuine conflict raises, signalling that max_wt exceeds the code's
-    capability.
-    """
-    if q.n > 23 or max_wt > 3:
-        raise GF2Error(f"coset enumeration too large: n={q.n}, max_wt={max_wt}")
-    check = q.row_reduced(error_type) if row_reduced else q.check_matrix(error_type)
-    col_syn = check.transpose().row_data
-    col_class = q.class_check(error_type).transpose().row_data
-    entries: dict[int, list[int]] = {}
-    for w in range(1, max_wt + 1):
-        for supp in itertools.combinations(range(q.n), w):
-            pat = sum(1 << i for i in supp)
-            syn = gf2.xor_bits(col_syn, pat)
-            if syn in entries:
-                rep = entries[syn][0]
-                if gf2.xor_bits(col_class, rep ^ pat):
-                    raise GF2Error(
-                        f"syndrome conflict at weight {w}: patterns "
-                        f"{rep:#x} and {pat:#x} share syndrome {syn:#x} "
-                        f"but do not differ by a stabilizer"
-                    )
-                entries[syn].append(pat)
-            else:
-                entries[syn] = [pat]
-    return CosetTable(code=q, error_type=error_type, syndrome_bits=check.rows,
-                      entries=entries, row_reduced=row_reduced)

@@ -269,7 +269,7 @@ def test_criterion_11_oracle_suites():
     bm_ok = True
     for received in range(1 << code.n):
         dmin, best = min(((received ^ w).bit_count(), w) for w in words)
-        got = classical.bm_decode(code, BitMatrix([received], code.n))
+        got = classical.bm_locate(code, received)
         if dmin <= code.t:
             if got is None or received ^ sum(1 << i for i in got) != best:
                 bm_ok = False

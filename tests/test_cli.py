@@ -266,12 +266,16 @@ def test_simulate_command(capsys, tmp_path):
      ' "p_e": 1.5}', "p_e=1.5 outside"),
     ('{"c": "hamming3pt", "q": "rep3", "p": 0.01, "shots": 20, "seed": -1}',
      "seed must be >= 0"),
+    # a misspelled key used to be ignored: a noiseless lookup-mode run, exit 0
+    ('{"c": "bch:15:3pt", "q": "steane", "p": 0.01, "shots": 20, "seed": 1,'
+     ' "decode-mode": "min_distance", "syndrome_nose": true}',
+     "unknown config key(s) decode-mode, syndrome_nose"),
     # p_e without syndrome_noise used to be ignored: the same report as p_e = 0
     ('{"c": "bch:15:3pt", "q": "steane", "t_src": 1, "p": 0.003, "shots": 20000,'
      ' "seed": 5, "decode_mode": "min_distance", "p_e": 0.05}',
      "p_e=0.05 needs syndrome_noise"),
 ], ids=["no-shots", "truncated", "shots-string", "noise-int", "json-list", "p_e-above-1",
-        "negative-seed", "p_e-without-noise"])
+        "negative-seed", "p_e-without-noise", "unknown-keys"])
 def test_simulate_bad_config_is_an_error_line(capsys, tmp_path, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -338,6 +342,18 @@ def test_decode_rejects_malformed_row(capsys, desk_table):
     desk_table.write_text(desk_table.read_text() + "zz\n")
     code, _, err = _decode_desk(capsys, desk_table)
     assert code == 1 and err.startswith("error:") and "malformed" in err
+
+
+def test_decode_rejects_repeated_key(capsys, desk_table):
+    """A second record for key 5, its header's entries unchanged, used to
+    decode 101000 to the later record's correction, exit 0."""
+    text = desk_table.read_text()
+    assert "\n5 2\n" in text
+    desk_table.write_text(text.replace("\n5 2\n", "\n5 2\n5 7\n", 1))
+    code, out, err = _decode_desk(capsys, desk_table, syndrome="101000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "1 repeated key(s)" in err
+    assert str(desk_table) in err
 
 
 def test_decode_rejects_header_without_key_bits(capsys, desk_table):

@@ -1,5 +1,6 @@
 """CSS code constructors, syndromes, normalizers, coset tables."""
 
+import collections
 import itertools
 import random
 
@@ -108,7 +109,8 @@ def test_q_syndrome_steane_x6():
 
 def test_q_syndrome_color17_x1x3_row_reduced():
     q = quantum.color17()
-    rr = q.row_reduced("X")
+    red, r, _ = gf2.rref(q.check_matrix("X"))
+    rr = BitMatrix(red.row_data[:r], red.cols)
     e = pauli_from_string("X1X3", 17)
     syn = gf2.mul(rr, BitMatrix([e.x], 17).transpose()).transpose()
     assert "".join(map(str, row_bits(syn, 0))) == "10100000"
@@ -159,52 +161,86 @@ def test_normalizer_generators_zero_syndrome(ctor):
             assert sx.is_zero() and sz.is_zero()
 
 
+def syndrome_groups(q, max_wt):
+    """Every X pattern of weight 1..max_wt (packed int) under its syndrome,
+    in weight-then-``combinations`` order."""
+    col_syn = q.check_matrix("X").transpose().row_data
+    groups = collections.defaultdict(list)
+    for w in range(1, max_wt + 1):
+        for supp in itertools.combinations(range(q.n), w):
+            pattern = sum(1 << i for i in supp)
+            groups[gf2.xor_bits(col_syn, pattern)].append(pattern)
+    return groups
+
+
 def test_coset_table_color17_counts():
-    q = quantum.color17()
-    table = quantum.build_coset_table(q, 2)
-    num_patterns = sum(len(v) for v in table.entries.values())
-    assert num_patterns == 17 + 17 * 16 // 2  # all weight-1 and 2
-    assert len(table.entries) == 115  # degenerate cosets collapse
+    groups = syndrome_groups(quantum.color17(), 2)
+    assert sum(map(len, groups.values())) == 17 + 17 * 16 // 2  # all weight-1 and 2
+    assert len(groups) == 115  # degenerate cosets collapse
 
 
 def test_coset_table_steane_weight1():
-    table = quantum.build_coset_table(quantum.steane(), 1)
-    assert sum(len(v) for v in table.entries.values()) == 7
-    assert len(table.entries) == 7
+    groups = syndrome_groups(quantum.steane(), 1)
+    assert sum(map(len, groups.values())) == 7
+    assert len(groups) == 7
 
 
 def test_coset_table_degenerate_coset_members():
     q = quantum.color17()
-    table = quantum.build_coset_table(q, 2, row_reduced=True)
-    key = gf2.bitstring_to_int("10100000")
-    members = {str(PauliOp(n=17, x=m)) for m in table.entries[key]}
-    assert members == {"X1X3", "X2X4", "X5X6", "X9X10", "X13X14"}
+    x1x3 = pauli_from_string("X1X3", 17).x
+    key = gf2.xor_bits(q.check_matrix("X").transpose().row_data, x1x3)
+    members = syndrome_groups(q, 2)[key]
+    assert {str(PauliOp(n=17, x=m)) for m in members} == {
+        "X1X3", "X2X4", "X5X6", "X9X10", "X13X14"}
     # the member products are stabilizer elements
     stab = stabilizer_span(q, "X")
-    for a, b in itertools.combinations(table.entries[key], 2):
+    for a, b in itertools.combinations(members, 2):
         assert (a ^ b) in stab
 
 
 def test_coset_table_corrections_return_to_codespace():
     q = quantum.steane()
-    table = quantum.build_coset_table(q, 1)
+    leaders = classical.build_standard_array(q.check_matrix("X"))
     stab = stabilizer_span(q, "X")
-    for key, members in table.entries.items():
-        rep = table.representative(key)
+    for key, members in syndrome_groups(q, 1).items():
         for m in members:
-            assert (rep ^ m) in stab
+            assert (leaders[key] ^ m) in stab
 
 
 def test_coset_table_conflict_detected():
-    # pushing steane past its radius creates a genuine weight-2 conflict
-    with pytest.raises(GF2Error, match="conflict"):
-        quantum.build_coset_table(quantum.steane(), 2)
+    """Past steane's radius two weight-<=2 patterns share a syndrome but do
+    not differ by a stabilizer element."""
+    stab = stabilizer_span(quantum.steane(), "X")
+    conflicts = [(a, b) for members in syndrome_groups(quantum.steane(), 2).values()
+                 for a, b in itertools.combinations(members, 2) if a ^ b not in stab]
+    assert conflicts
 
 
-def test_coset_table_size_guard():
-    q = quantum.golay_css()
-    with pytest.raises(GF2Error, match="too large"):
-        quantum.build_coset_table(q, 4)
+# rep3 Z is left out: rep3 has no X-type checks, so every Z error has
+# syndrome 0 and d_Z = 1; no weight-1 Z pattern is correctable.
+LEADER_CASES = [(quantum.rep3, "X")] + [
+    (ctor, error_type) for ctor in (quantum.steane, quantum.color17, quantum.golay_css)
+    for error_type in "XZ"]
+
+
+@pytest.mark.parametrize("ctor,error_type", LEADER_CASES,
+                         ids=[f"{c.__name__}-{e}" for c, e in LEADER_CASES])
+def test_standard_array_leader_is_stabilizer_equivalent_within_t(ctor, error_type):
+    """Below half the distance a pattern and the classical coset leader of
+    its H_Q syndrome differ by a stabilizer element (Gottesman,
+    quant-ph/9705052), and the leader is no heavier: the standard array of
+    H_Q is a per-column quantum correction."""
+    q = ctor()
+    check = q.check_matrix(error_type)
+    leaders = classical.build_standard_array(check)
+    col_syn = check.transpose().row_data
+    col_class = q.class_check(error_type).transpose().row_data
+    for w in range(1, q.t + 1):
+        for supp in itertools.combinations(range(q.n), w):
+            pattern = sum(1 << i for i in supp)
+            leader = leaders[gf2.xor_bits(col_syn, pattern)]
+            assert gf2.xor_bits(col_class, pattern ^ leader) == 0, supp
+            assert leader.bit_count() <= w
 
 
 def test_pauli_string_roundtrip():

@@ -26,15 +26,12 @@ ALLOWED = {
     "analytics.ShannonReport.channel_ok": "ROADMAP item 8: qproduct analyze shannon",
     "circuit.propagate": "ROADMAP item 6: single-fault oracle for circuit noise",
     "circuit.data_frame": "ROADMAP item 6: residual data error of a fault",
-    "classical.bm_decode": "perfbench traces it by name until ROADMAP item 1, step A",
     "product.channel_encode": "ROADMAP item 8: the coded syndrome block",
     "product.channel_block": "ROADMAP item 8: the coded syndrome block",
     "product.extract_syndrome": "reference layout tests compare against",
     "product.in_class_E": "reference layout tests compare against",
     "product.in_class_D": "ROADMAP item 4: localize-mode class",
     "product.normalizer_generators": "reference for acceptance criterion 4's coset-leader check",
-    "quantum.build_coset_table": "ROADMAP item 4: per-column quantum correction",
-    "quantum.CosetTable.representative": "ROADMAP item 4: per-column quantum correction",
 }
 
 
