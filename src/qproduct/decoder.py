@@ -13,7 +13,7 @@ import numpy as np
 
 from . import classical
 from .gf2 import GF2Error
-from .product import LookupTable, ProductCode, ProductSyndrome, as_words, int_array
+from .product import LookupTable, ProductCode, ProductSyndrome, as_words
 
 
 class LocalizationError(GF2Error):
@@ -37,33 +37,32 @@ def nearest_key(table: LookupTable, keys, radius: int
     Status is 'ok', 'not_found' or 'ambiguous'; equal-distance ties are
     surfaced, never broken.  The distance is -1 where no stored key lies
     within the radius, the correction -1 unless the status is 'ok'.
-    Radius 0 is exact lookup in ``table.entries`` and builds no index; a
-    negative radius finds nothing.  A positive radius XORs the keys against
-    the words of ``table.index``, counts the set bits and takes each key's
-    minimum, tie count and argmin, in blocks of at most BLOCK_ELEMENTS
-    elements (or one key).  Keys are nonnegative ints in any sequence.
+    Radius 0 is exact lookup, a binary search of the table's sorted key
+    words (``LookupTable.rows``); a negative radius finds nothing.  A
+    positive radius XORs the keys against the same words, counts the set
+    bits and takes each key's minimum, tie count and argmin, in blocks of
+    at most BLOCK_ELEMENTS elements (or one key).  Keys are nonnegative ints
+    in any sequence; ints are made only for the corrections returned.
     """
-    if not (isinstance(keys, np.ndarray) and keys.dtype == np.int64):  # ints of any width
-        keys = np.array([int(k) for k in keys], dtype=object)
-    if radius <= 0 or not table.entries:  # exact lookup; an empty table finds nothing
-        entries = table.entries if radius == 0 else {}
-        correction = int_array([entries.get(k, -1) for k in keys.tolist()])
-        hit = correction >= 0
-        return np.where(hit, "ok", "not_found"), np.where(hit, 0, -1), correction
-    words, values = table.index
+    words = table.keys
     queries = as_words(keys, words.shape[1])
-    best = np.empty(len(keys), dtype=np.intp)
-    ties = np.empty(len(keys), dtype=np.intp)
-    pos = np.empty(len(keys), dtype=np.intp)
+    if radius <= 0 or not len(words):  # an empty table finds nothing
+        pos = table.rows(queries) if radius == 0 else np.full(len(queries), -1)
+        hit = pos >= 0
+        return np.where(hit, "ok", "not_found"), np.where(hit, 0, -1), table.corrections(pos)
+    best = np.empty(len(queries), dtype=np.intp)
+    ties = np.empty(len(queries), dtype=np.intp)
+    pos = np.empty(len(queries), dtype=np.intp)
     step = max(1, BLOCK_ELEMENTS // words.size)
-    for lo in range(0, len(keys), step):
+    for lo in range(0, len(queries), step):
         dist = np.bitwise_count(queries[lo:lo + step, None] ^ words).sum(axis=2,
                                                                          dtype=np.intp)
         best[lo:lo + step] = low = dist.min(axis=1)
         ties[lo:lo + step] = (dist == low[:, None]).sum(axis=1)
         pos[lo:lo + step] = dist.argmin(axis=1)
     code = np.where(best > radius, 2, np.where(ties > 1, 1, 0))
-    return _STATUS[code], np.where(code < 2, best, -1), np.where(code == 0, values[pos], -1)
+    return (_STATUS[code], np.where(code < 2, best, -1),
+            table.corrections(np.where(code == 0, pos, -1)))
 
 
 @dataclass(frozen=True)

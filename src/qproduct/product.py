@@ -8,9 +8,9 @@ measured syndromes with a two-dimensional product code.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,54 +209,114 @@ def class_E_size(pc: ProductCode, max_cols: int | None = None) -> int:
     return sum(math.comb(pc.L, c) * per_col ** c for c in range(max_cols + 1))
 
 
-def int_array(values: list[int]) -> np.ndarray:
-    """Ints as an int64 array, or as an object array if one needs 64 bits."""
-    return np.array(values, dtype=np.int64 if max(values, default=0) < 1 << 63 else object)
+def n_words(bits: int) -> int:
+    """uint64 words that hold a value of ``bits`` bits (at least one)."""
+    return max(1, -(-bits // 64))
 
 
-def as_words(keys, w: int) -> np.ndarray:
-    """(len(keys), w) uint64 words of nonnegative keys, low word first."""
+def as_words(values, w: int) -> np.ndarray:
+    """(len(values), w) uint64 words of nonnegative ints, most significant first."""
     if w == 1:
-        return np.array(keys, dtype=np.uint64).reshape(-1, 1)
-    blob = b"".join(int(k).to_bytes(8 * w, "little") for k in keys)
-    return np.frombuffer(blob, dtype="<u8").reshape(len(keys), w)
+        return np.array(values, dtype=np.uint64).reshape(-1, 1)
+    blob = b"".join(int(v).to_bytes(8 * w, "big") for v in values)
+    return np.frombuffer(blob, dtype=">u8").astype(np.uint64).reshape(-1, w)
 
 
-@dataclass(frozen=True)
+def from_words(words: np.ndarray) -> list[int]:
+    """The Python ints of ``as_words`` rows."""
+    blob, step = words.astype(">u8").tobytes(), 8 * words.shape[1]
+    return [int.from_bytes(blob[i:i + step], "big") for i in range(0, len(blob), step)]
+
+
+def _sortable(words: np.ndarray) -> np.ndarray:
+    """Word rows as values that order as their ints do: the one word, or
+    the words' big-endian bytes."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words, dtype=">u8").view(f"S{8 * words.shape[1]}")[:, 0]
+
+
+@dataclass(frozen=True, eq=False)
 class LookupTable:
-    """Flattened product syndrome -> packed correction pattern.
+    """Product syndrome key -> packed correction pattern, as sorted words:
+    the one representation of built and loaded tables.
 
-    Keys and values are the integer packings of ProductSyndrome.key and
-    ErrorPattern.packed().  Frozen, so ``index`` cannot outlive ``entries``:
-    edit a table with ``dataclasses.replace``, never in place.
+    Row i of the read-only ``keys`` holds a key (ProductSyndrome.key) as
+    ``as_words`` words, in strictly ascending order; row i of ``fixes`` its
+    correction (ErrorPattern.packed()).  ``entries`` reads them as a mapping.
     """
 
     pc: ProductCode
     error_type: str
     key_bits: int
-    entries: dict[int, int]
     max_cols: int  # cap on columns hit the table was built with
+    keys: np.ndarray
+    fixes: np.ndarray
 
-    @functools.cached_property
-    def index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The keys' uint64 words and their corrections, built on first use."""
-        return (as_words(list(self.entries), max(1, -(-self.key_bits // 64))),
-                int_array(list(self.entries.values())))
+    def __post_init__(self):
+        self.keys.flags.writeable = self.fixes.flags.writeable = False
+
+    @property
+    def entries(self) -> TableEntries:
+        return TableEntries(self)
+
+    def rows(self, words: np.ndarray) -> np.ndarray:
+        """Row of each query key (as words) in ``keys`` by binary search, or -1."""
+        stored, want = _sortable(self.keys), _sortable(words)
+        if not len(stored):
+            return np.full(len(want), -1)
+        at = np.searchsorted(stored, want)
+        return np.where(stored.take(at, mode="clip") == want, at, -1)
+
+    def corrections(self, rows: np.ndarray) -> np.ndarray:
+        """The correction at each row, -1 at row -1: int64 while they all fit,
+        else Python ints, made only for these rows."""
+        if not len(self.fixes):
+            return np.full(len(rows), -1)
+        picked, hit = self.fixes[rows], rows >= 0  # row -1 picks the last row: masked
+        if picked.shape[1] == 1 and picked.max(initial=0) < 1 << 63:
+            return np.where(hit, picked[:, 0].view(np.int64), -1)
+        out = np.full(len(rows), -1, dtype=object)
+        out[hit] = from_words(picked[hit])
+        return out
+
+
+class TableEntries(Mapping):
+    """Read-only {key: correction} view of a LookupTable, in key order: its
+    length costs nothing, and ints are made only for what is read."""
+
+    def __init__(self, table: LookupTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.keys)
+
+    def __iter__(self):
+        return iter(from_words(self._table.keys))
+
+    def __getitem__(self, key: int) -> int:
+        t = self._table
+        if not 0 <= key < 1 << t.key_bits:
+            raise KeyError(key)
+        (value,) = t.corrections(t.rows(as_words([key], t.keys.shape[1]))).tolist()
+        if value < 0:
+            raise KeyError(key)
+        return value
 
 
 def build_lookup_table(pc: ProductCode, error_type: str = "X",
                        max_cols: int | None = None) -> LookupTable:
     """Enumerate the uniquely decodable class and key it by syndrome.
 
-    Patterns sharing a syndrome must differ column-wise by quantum
-    stabilizer elements (degeneracy): ``class_map``, built at the first
-    collision, must send their difference to 0, or the build aborts with
-    the two patterns and the shared key.  Enumeration order is by number
-    of columns hit, then column combination, then per-column pattern, so
-    the stored correction is the first-enumerated representative.  Each column
-    count is keyed in numpy blocks of at most TABLE_BLOCK patterns: a
-    pattern's key is the XOR of its columns' keys and its correction the OR
-    of theirs, as ``int_array`` values (int64, or Python ints past 63 bits).
+    Enumeration order is by number of columns hit, then column combination,
+    then per-column pattern.  Each column count is keyed in numpy blocks of
+    at most TABLE_BLOCK patterns: a pattern's key is the XOR of its columns'
+    key words and its correction the OR of theirs.  One stable sort of all
+    keys then gives the table's rows, each holding its key's first-enumerated
+    pattern.  Patterns sharing a syndrome must differ column-wise by quantum
+    stabilizer elements (degeneracy): ``class_map``, built only if two
+    patterns share a key, must send their difference to 0, or the build
+    aborts with the first such pair enumerated and the shared key.
 
     ``max_cols`` caps the number of columns hit (default t_C).  Noisy
     syndrome decoding passes t_src here, so the keys keep the pairwise
@@ -266,24 +326,28 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
         max_cols = pc.t_c
     if not 0 <= max_cols <= pc.t_c:
         raise GF2Error(f"max_cols={max_cols} outside [0, t_c={pc.t_c}]")
-    size = class_E_size(pc, max_cols)
+    n = pc.q.n
+    hq, hc = pc.q.check_matrix(error_type), pc.h_c
+    # per-column patterns of weight 1..t_q; row ell * len(patterns) + pi of
+    # key_of and fix_of is the key and the correction of pattern pi in column ell
+    patterns = [sum(1 << i for i in supp) for w in range(1, pc.t_q + 1)
+                for supp in itertools.combinations(range(n), w)]
+    # class_E_size's count, from this H_C: each read of pc.h_c rebuilds it
+    size = sum(math.comb(hc.cols, c) * len(patterns) ** c for c in range(max_cols + 1))
     if size > TABLE_SIZE_GUARD:
         raise GF2Error(
             f"lookup table would hold {size} entries (limit {TABLE_SIZE_GUARD})"
         )
-    n = pc.q.n
-    hq, hc = pc.q.check_matrix(error_type), pc.h_c
     bit_keys = key_map(hq, hc)
-    # per-column patterns of weight 1..t_q; entry ell * len(patterns) + pi of
-    # key_of and fix_of is the key and the correction of pattern pi in column ell
-    patterns = [sum(1 << i for i in supp) for w in range(1, pc.t_q + 1)
-                for supp in itertools.combinations(range(n), w)]
+    key_bits = hq.rows * hc.rows
     columns = [bit_keys[ell * n:(ell + 1) * n] for ell in range(hc.cols)]
-    key_of = int_array([gf2.xor_bits(col, pat) for col in columns for pat in patterns])
-    fix_of = int_array([pat << (ell * n) for ell in range(hc.cols) for pat in patterns])
+    key_of = as_words([gf2.xor_bits(col, pat) for col in columns for pat in patterns],
+                      n_words(key_bits))
+    fix_of = as_words([pat << (ell * n) for ell in range(hc.cols) for pat in patterns],
+                      n_words(n * hc.cols))
 
-    classes = None  # built at the first key collision
-    entries: dict[int, int] = {0: 0}
+    keys = [np.zeros((1, key_of.shape[1]), dtype=np.uint64)]  # the zero pattern
+    fixes = [np.zeros((1, fix_of.shape[1]), dtype=np.uint64)]
     for c in range(1, max_cols + 1):
         combos = np.array(list(itertools.combinations(range(hc.cols), c)),
                           dtype=np.intp).reshape(-1, c)
@@ -291,33 +355,47 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
         total = len(combos) * per_combo
         for start in range(0, total, TABLE_BLOCK):
             combo, choice = np.divmod(np.arange(start, min(start + TABLE_BLOCK, total)), per_combo)
-            keys, fixes = 0, 0
+            key, fix = 0, 0
             for j in reversed(range(c)):  # the last column's pattern varies fastest
                 choice, pi = np.divmod(choice, len(patterns))
                 at = combos[combo, j] * len(patterns) + pi
-                keys, fixes = keys ^ key_of[at], fixes | fix_of[at]
-            for key, packed in zip(keys.tolist(), fixes.tolist()):
-                other = entries.setdefault(key, packed)  # packed itself iff the key is new
-                if other == packed:
-                    continue
-                classes = classes or class_map(pc.q, error_type, hc.cols)
-                if gf2.xor_bits(classes, other ^ packed):
-                    raise GF2Error(
-                        f"syndrome conflict: patterns {other:#x} and "
-                        f"{packed:#x} share key {key:#x} but are not "
-                        f"stabilizer-equivalent"
-                    )
-    return LookupTable(pc=pc, error_type=error_type, key_bits=hq.rows * hc.rows,
-                       entries=entries, max_cols=max_cols)
+                key, fix = key ^ key_of[at], fix | fix_of[at]
+            keys.append(key)
+            fixes.append(fix)
+    keys, fixes = np.concatenate(keys), np.concatenate(fixes)
+    order = np.lexsort(keys.T[::-1])  # stable: enumeration order within a key
+    keys, fixes = keys[order], fixes[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    clash = np.flatnonzero(~new)
+    if len(clash):  # the class map is built only if two patterns share a key
+        lead = np.flatnonzero(new)[np.cumsum(new) - 1]  # row of each key's first pattern
+        classes = class_map(pc.q, error_type, hc.cols)
+        bad = [i for i, diff in zip(clash, from_words(fixes[clash] ^ fixes[lead[clash]]))
+               if gf2.xor_bits(classes, diff)]
+        if bad:
+            i = min(bad, key=order.__getitem__)  # the first conflict enumerated
+            other, packed, key = from_words(fixes[[lead[i], i]]) + from_words(keys[[i]])
+            raise GF2Error(f"syndrome conflict: patterns {other:#x} and {packed:#x} share "
+                           f"key {key:#x} but are not stabilizer-equivalent")
+    return LookupTable(pc, error_type, key_bits, max_cols, keys[new], fixes[new])
 
 
 # -- lookup-table file format ----------------------------------------------
-# Text header, then sorted hex records "key value", one per line; the sort
-# makes files diffable.  The writer formats TABLE_CHUNK records per write, so
-# it never holds the whole file as text.  The loader reads every record.
+# An ASCII header line, TABLE_MAGIC then name=value fields, then exactly
+# `entries` records in strictly ascending key order, all of one width: the
+# key as ceil(key_bits/4) and the correction as ceil(n*L/4) zero-padded
+# lowercase hex digits, a space between them and a newline after.  The writer
+# formats TABLE_CHUNK records per write, so it never holds the whole file as
+# text.  The loader reads the records as one byte array and checks them all
+# at once; the fixed width lets it turn each field into words TABLE_CHUNK
+# records at a time, with no per-record parse.
 
+TABLE_MAGIC = "qproduct-lut2"
+OLD_MAGIC = "qproduct-lut"  # variable-width records "%x %x"
 TABLE_FIELDS = ("c", "q", "mode", "type", "tc", "tq", "mc", "key_bits", "n", "L",
                 "entries")
+HEX_DIGITS = b"0123456789abcdef"
 
 
 def _code_fields(pc: ProductCode, error_type: str) -> dict[str, str]:
@@ -343,45 +421,65 @@ def check_table(table: LookupTable, pc: ProductCode, error_type: str, key_bits: 
             raise GF2Error(f"table built for {name}={mine[name]}, not {want}")
 
 
+def _hex_field(words: np.ndarray, digits: int) -> np.ndarray:
+    """(rows, digits) ASCII hex digits of word rows; refuses a wider value."""
+    text = np.frombuffer(words.astype(">u8").tobytes().hex().encode(), dtype=np.uint8)
+    text = text.reshape(len(words), -1)
+    if (text[:, :-digits] != ord("0")).any():
+        raise GF2Error(f"a table value does not fit {digits} hex digits")
+    return text[:, -digits:]
+
+
+def _field_words(field: np.ndarray) -> np.ndarray:
+    """``as_words`` rows of (rows, d) ASCII hex digits, TABLE_CHUNK rows at a time."""
+    words = np.empty((len(field), n_words(4 * field.shape[1])), dtype=np.uint64)
+    for start in range(0, len(field), TABLE_CHUNK):
+        part = field[start:start + TABLE_CHUNK]
+        padded = np.full((len(part), 16 * words.shape[1]), ord("0"), dtype=np.uint8)
+        padded[:, padded.shape[1] - part.shape[1]:] = part
+        words[start:start + len(part)] = np.frombuffer(
+            bytes.fromhex(padded.tobytes().decode()), dtype=">u8").reshape(len(part), -1)
+    return words
+
+
 def save_lookup_table(table: LookupTable, path: str) -> None:
-    header = _table_header(table.pc, table.error_type, table.max_cols,
-                           len(table.entries))
-    keys = sorted(table.entries)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("qproduct-lut " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
-        for start in range(0, len(keys), TABLE_CHUNK):
-            chunk = keys[start:start + TABLE_CHUNK]
-            records = [0] * (2 * len(chunk))  # key, value, key, value, ...
-            records[::2] = chunk
-            records[1::2] = map(table.entries.__getitem__, chunk)
-            fh.write(("%x %x\n" * len(chunk)) % tuple(records))
+    header = _table_header(table.pc, table.error_type, table.max_cols, len(table.keys))
+    kd, fd = -(-table.key_bits // 4), -(-table.pc.q.n * int(header["L"]) // 4)
+    with open(path, "wb") as fh:
+        fh.write(" ".join([TABLE_MAGIC, *(f"{k}={v}" for k, v in header.items())]).encode()
+                 + b"\n")
+        for start in range(0, len(table.keys), TABLE_CHUNK):
+            chunk = slice(start, start + TABLE_CHUNK)
+            records = np.full((len(table.keys[chunk]), kd + fd + 2), ord(" "), dtype=np.uint8)
+            records[:, :kd] = _hex_field(table.keys[chunk], kd)
+            records[:, kd + 1:-1] = _hex_field(table.fixes[chunk], fd)
+            records[:, -1] = ord("\n")
+            fh.write(records.tobytes())
 
 
 def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:
-    """Read a table file, refusing one that was built for another code."""
-    with open(path, encoding="ascii") as fh:
-        try:
-            header = fh.readline().split()
-        except UnicodeDecodeError as exc:
-            raise GF2Error(f"{path}: {exc}") from None
-        if not header or header[0] != "qproduct-lut":
-            raise GF2Error(f"{path} is not a lookup-table file")
-        fields = dict(tok.partition("=")[::2] for tok in header[1:])
-        missing = [name for name in TABLE_FIELDS if name not in fields]
-        if missing:
-            raise GF2Error(f"{path}: header lacks {', '.join(missing)}")
-        entries = {}
-        records = 0
-        try:
-            max_cols = int(fields["mc"])
-            for records, line in enumerate(fh, 1):
-                k, v = line.split()
-                entries[int(k, 16)] = int(v, 16)
-        except ValueError as exc:
-            raise GF2Error(f"{path}: malformed table file ({exc})") from None
-    if records != len(entries):
-        raise GF2Error(f"{path}: {records - len(entries)} repeated key(s)")
-    expected = _table_header(pc, fields["type"], max_cols, len(entries))
+    """Read a table file, refusing one built for another code or one whose
+    records depart from the format."""
+    with open(path, "rb") as fh:
+        head, body = fh.readline(), fh.read()
+    try:
+        header = head.decode("ascii").split()
+    except UnicodeDecodeError as exc:
+        raise GF2Error(f"{path}: {exc}") from None
+    if header[:1] == [OLD_MAGIC]:
+        raise GF2Error(f"{path} holds variable-width records, a format this version "
+                       f"does not read; rebuild it with qproduct product build-table")
+    if header[:1] != [TABLE_MAGIC]:
+        raise GF2Error(f"{path} is not a lookup-table file")
+    fields = dict(tok.partition("=")[::2] for tok in header[1:])
+    missing = [name for name in TABLE_FIELDS if name not in fields]
+    if missing:
+        raise GF2Error(f"{path}: header lacks {', '.join(missing)}")
+    try:
+        max_cols, count = int(fields["mc"]), int(fields["entries"])
+    except ValueError as exc:
+        raise GF2Error(f"{path}: malformed table file ({exc})") from None
+    expected = _table_header(pc, fields["type"], max_cols, count)
     if fields["key_bits"] != expected["key_bits"]:
         raise GF2Error(
             f"{path}: key length {fields['key_bits']} does not match "
@@ -392,13 +490,30 @@ def load_lookup_table(path: str, pc: ProductCode) -> LookupTable:
             raise GF2Error(f"{path}: header {name}={fields[name]} does not match {want}")
     if not 0 <= max_cols <= pc.t_c:
         raise GF2Error(f"{path}: mc={max_cols} outside [0, t_c={pc.t_c}]")
-    key_bits = int(expected["key_bits"])
-    for name, values, bits in (("key", entries.keys(), key_bits),
-                               ("correction", entries.values(), pc.q.n * int(expected["L"]))):
-        if values and (min(values) < 0 or max(values) >> bits):
+    key_bits, fix_bits = int(expected["key_bits"]), pc.q.n * int(expected["L"])
+    kd, fd = -(-key_bits // 4), -(-fix_bits // 4)
+    if len(body) != count * (kd + fd + 2):
+        raise GF2Error(f"{path}: malformed table file ({len(body)} bytes of records, not "
+                       f"the {count} records of {kd + fd + 2} bytes its header declares)")
+    lines = np.frombuffer(body, dtype=np.uint8).reshape(count, kd + fd + 2)
+    # every byte but one space and one newline per record is a lowercase hex digit
+    if (body.translate(None, HEX_DIGITS) != b" \n" * count
+            or (lines[:, kd] != ord(" ")).any() or (lines[:, -1] != ord("\n")).any()):
+        raise GF2Error(f"{path}: malformed table file (a record is not {kd} lowercase "
+                       f"hex digits, a space, {fd} digits and a newline)")
+    for name, field, bits in (("key", lines[:, :kd], key_bits),
+                              ("correction", lines[:, kd + 1:-1], fix_bits)):
+        top = HEX_DIGITS[(1 << (bits + 4 - 4 * field.shape[1])) - 1]  # largest leading digit
+        if count and field[:, 0].max() > top:
             raise GF2Error(f"{path}: a record's {name} is outside [0, 2^{bits})")
-    return LookupTable(pc=pc, error_type=fields["type"], key_bits=key_bits,
-                       entries=entries, max_cols=max_cols)
+    keys = _field_words(lines[:, :kd])
+    order = _sortable(keys)
+    if (order[1:] <= order[:-1]).any():
+        repeats = np.count_nonzero(order[1:] == order[:-1])
+        raise GF2Error(f"{path}: {repeats} repeated key(s)" if repeats else f"{path}: keys "
+                       f"out of order at record {(order[1:] < order[:-1]).argmax() + 2}")
+    return LookupTable(pc, fields["type"], key_bits, max_cols, keys,
+                       _field_words(lines[:, kd + 1:-1]))
 
 
 # -- channel coding of the measured syndrome --------------------------------

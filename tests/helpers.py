@@ -11,7 +11,8 @@ import numpy as np
 from qproduct import gf2
 from qproduct.classical import ClassicalCode
 from qproduct.gf2 import BitMatrix, GF2Error
-from qproduct.product import ErrorPattern, ProductCode, ProductSyndrome, extract_syndrome
+from qproduct.product import (ErrorPattern, LookupTable, ProductCode, ProductSyndrome, as_words,
+                              extract_syndrome, n_words)
 from qproduct.quantum import CssCode, PauliOp
 
 
@@ -148,6 +149,18 @@ def verification_matrix(n: int) -> BitMatrix:
     if n < 2:
         raise GF2Error(f"verification vector needs n >= 2, got {n}")
     return BitMatrix([1 | (1 << (n - 1))], n)
+
+
+def table_from_entries(pc: ProductCode, error_type: str, key_bits: int,
+                       entries: dict[int, int], max_cols: int) -> LookupTable:
+    """A LookupTable holding a {key: correction} dict, for tables no build
+    makes (ties, stabilizer shifts, keys stored as their own corrections).
+    Corrections take the words of n*L bits, or more if one is wider."""
+    keys = sorted(entries)
+    fixes = [entries[k] for k in keys]
+    width = max(pc.N, max(fixes, default=0).bit_length())
+    return LookupTable(pc, error_type, key_bits, max_cols, as_words(keys, n_words(key_bits)),
+                       as_words(fixes, n_words(width)))
 
 
 def brute_nearest(entries, keys, radius: int) -> list[tuple[str, int, int]]:

@@ -17,7 +17,7 @@ from qproduct.circuit import PauliFrame
 from qproduct.gf2 import BitMatrix
 from qproduct.product import ErrorPattern, ProductCode, ProductSyndrome
 
-from helpers import encode
+from helpers import encode, table_from_entries
 
 
 def report(num: int, description: str, ok: bool) -> None:
@@ -277,8 +277,8 @@ def test_criterion_11_oracle_suites():
             bm_ok = False
     # nearest-key scan vs linear scan; each key is stored as its own correction
     keys = rng.sample(range(1 << 20), 10 ** 4)
-    table = product.LookupTable(pc=desk_instance(), error_type="X", key_bits=20,
-                                entries={k: k for k in keys}, max_cols=1)
+    table = table_from_entries(pc=desk_instance(), error_type="X", key_bits=20,
+                               entries={k: k for k in keys}, max_cols=1)
     nk_ok = True
     for _ in range(100):
         probe = rng.randrange(1 << 20)

@@ -345,11 +345,12 @@ def test_decode_rejects_malformed_row(capsys, desk_table):
 
 
 def test_decode_rejects_repeated_key(capsys, desk_table):
-    """A second record for key 5, its header's entries unchanged, used to
-    decode 101000 to the later record's correction, exit 0."""
+    """A second record for key 5, its header's entries raised to match, used
+    to decode 101000 to the later record's correction, exit 0."""
     text = desk_table.read_text()
-    assert "\n5 2\n" in text
-    desk_table.write_text(text.replace("\n5 2\n", "\n5 2\n5 7\n", 1))
+    assert "\n05 002\n" in text and " entries=13" in text
+    desk_table.write_text(text.replace("\n05 002\n", "\n05 002\n05 007\n", 1)
+                          .replace(" entries=13", " entries=14", 1))
     code, out, err = _decode_desk(capsys, desk_table, syndrome="101000")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "1 repeated key(s)" in err
@@ -413,23 +414,104 @@ def test_decode_radius_requires_min_distance(capsys, desk_table):
 NOISY = ("--c", "bch:15:3pt", "--q", "steane", "--tsrc", "1")
 
 
-@pytest.mark.parametrize("record,flags", [
-    ("{wide:x} {v:x}", ["--min-distance"]),  # was an OverflowError traceback
-    ("{wide:x} {v:x}", []),                  # was a silent not_found
-    ("{k:x} {v_wide:x}", []),                # printed a truncated correction, status ok
-    ("-{k:x} {v:x}", ["--min-distance"]),
+@pytest.mark.parametrize("edit,flags,message", [
+    # 30-bit keys: a leading digit above 3 needs bit 30 or higher
+    (lambda k, v: f"4{k[1:]} {v}", ["--min-distance"], "key is outside [0, 2^30)"),
+    (lambda k, v: f"4{k[1:]} {v}", [], "key is outside [0, 2^30)"),
+    # 35-bit corrections: a leading digit above 7 needs bit 35 or higher
+    (lambda k, v: f"{k} 8{v[1:]}", [], "correction is outside [0, 2^35)"),
+    (lambda k, v: f"-{k[1:]} {v}", ["--min-distance"], "a record is not 8 lowercase hex"),
 ], ids=["wide-key-nearest", "wide-key-exact", "wide-correction", "negative-key"])
-def test_decode_rejects_a_record_outside_its_width(capsys, tmp_path, record, flags):
+def test_decode_rejects_a_record_outside_its_width(capsys, tmp_path, edit, flags, message):
     """One record of the 30-bit bch:15:3pt x steane table (35-bit corrections)
-    holds bit 70 in its key, bit 199 in its correction, or a minus sign."""
+    holds a key or correction past its bit width, or a minus sign.  In the
+    variable-width format these were an OverflowError traceback, a silent
+    not_found, a truncated correction with status ok, and an error line."""
     path = tmp_path / "noisy.lut"
     assert run(capsys, "product", "build-table", *NOISY, "--max-cols", "1",
                "--out", str(path))[0] == 0
     header, first, second, *rest = path.read_text().splitlines()
-    k, v = (int(x, 16) for x in second.split())
-    second = record.format(k=k, v=v, wide=k | 1 << 70, v_wide=v | 1 << 199)
-    path.write_text("\n".join([header, first, second, *rest]) + "\n")
+    k, v = second.split()
+    path.write_text("\n".join([header, first, edit(k, v), *rest]) + "\n")
     code, out, err = run(capsys, "decode", "--table", str(path), *NOISY, *flags,
-                         "--syndrome", gf2.int_to_bitstring(k, 30))
+                         "--syndrome", gf2.int_to_bitstring(int(k, 16), 30))
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "is outside [0, 2^" in err
+    assert err.startswith(f"error: {path}") and message in err
+
+
+def _old_format(text: str) -> str:
+    """A table file as versions before fixed-width records wrote it."""
+    header, *records = text.splitlines()
+    old = [" ".join(f"{int(field, 16):x}" for field in record.split()) for record in records]
+    return "\n".join([header.replace("qproduct-lut2 ", "qproduct-lut ", 1), *old]) + "\n"
+
+
+def _edit_records(*changes):
+    """An edit of a table file's text: each (i, change) pair replaces record
+    i, counted from 1, by change(record)."""
+    def edit(text):
+        lines = text.split("\n")
+        for i, change in changes:
+            lines[i] = change(lines[i])
+        return "\n".join(lines)
+    return edit
+
+
+def _swap_records_2_and_3(text: str) -> str:
+    lines = text.split("\n")
+    lines[2], lines[3] = lines[3], lines[2]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text[:-5], "not the 36 records of 19 bytes"),
+    (_edit_records((2, lambda r: r[1:])), "not the 36 records of 19 bytes"),
+    (_edit_records((2, lambda r: "0" + r)), "not the 36 records of 19 bytes"),
+    (_edit_records((2, lambda r: r[1:]), (3, lambda r: r + "0")),
+     "a record is not 8 lowercase hex digits, a space, 9 digits and a newline"),
+    (_edit_records((3, str.upper)), "a record is not 8 lowercase hex digits"),
+    (_edit_records((2, lambda r: "g" + r[1:])), "a record is not 8 lowercase hex digits"),
+    (_edit_records((2, lambda r: r.replace(" ", "\t"))), "a record is not 8 lowercase hex"),
+    (lambda text: text.replace("\n", "\r\n"), "not the 36 records of 19 bytes"),
+    (_swap_records_2_and_3, "keys out of order at record 3"),
+    (lambda text: text.replace(" entries=36", " entries=35", 1),
+     "not the 35 records of 19 bytes its header declares"),
+    (_old_format, "variable-width records, a format this version does not read; "
+                  "rebuild it with qproduct product build-table"),
+], ids=["truncated-last-record", "record-one-byte-short", "record-one-byte-long",
+        "short-then-long-record", "uppercase-digit", "non-hex-digit", "wrong-separator",
+        "crlf-line-ends", "keys-out-of-order", "entries-differ-from-records", "old-format"])
+def test_decode_refuses_a_malformed_table_file(capsys, tmp_path, edit, message):
+    """Each departure from the fixed-width record format of the 36-record
+    bch:15:3pt x steane table (8 + 9 hex digits a record) ends in exit 1
+    and an error line that names the file, before any decode."""
+    path = tmp_path / "noisy.lut"
+    assert run(capsys, "product", "build-table", *NOISY, "--max-cols", "1",
+               "--out", str(path))[0] == 0
+    path.write_bytes(edit(path.read_text()).encode("ascii"))
+    code, out, err = run(capsys, "decode", "--table", str(path), *NOISY,
+                         "--syndrome", "0" * 30)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}") and message in err
+
+
+@pytest.mark.parametrize("args,entries", [
+    (["--c", "hamming3pt", "--q", "rep3"], 13),
+    ([*NOISY, "--max-cols", "1"], 36),
+    (["--c", "bch:15:3", "--q", "color17", "--max-cols", "1"], 1726),
+], ids=["desk", "bch15pt-tsrc1", "bch15-color17-one-column"])
+def test_table_file_keeps_the_benchmark_contract(capsys, tmp_path, args, entries):
+    """The benchmark's build check (perfbench oracle.check_build) reads a table
+    file as ASCII: a first line holding a magic token and then only
+    name=value tokens, entries=N among them, then exactly N records, each
+    ended by a newline."""
+    path = tmp_path / "t.lut"
+    code, out, _ = run(capsys, "product", "build-table", *args, "--out", str(path))
+    assert code == 0 and json.loads(out)["entries"] == entries
+    head, *records = path.read_bytes().decode("ascii").split("\n")
+    magic, *tokens = head.split(" ")
+    assert magic and "=" not in magic
+    fields = dict(tok.split("=", 1) for tok in tokens)
+    assert all(len(tok.split("=")) == 2 and all(tok.split("=")) for tok in tokens)
+    assert fields["entries"] == str(entries)
+    assert records.pop() == "" and len(records) == entries

@@ -11,7 +11,8 @@ from qproduct.decoder import LocalizationError, LocalizationResult
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ProductCode, ProductSyndrome
 
-from helpers import brute_nearest, pattern_from_packed, syndrome, vector_from_support
+from helpers import (brute_nearest, pattern_from_packed, syndrome, table_from_entries,
+                     vector_from_support)
 
 
 def pattern(pc, bits):
@@ -27,8 +28,8 @@ def nearest(table, keys, radius):
 def key_table(keys, key_bits):
     """Each key stored as its own correction, so a wrong match shows."""
     pc = ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
-    return product.LookupTable(pc=pc, error_type="X", key_bits=key_bits,
-                               entries={k: k for k in keys}, max_cols=1)
+    return table_from_entries(pc=pc, error_type="X", key_bits=key_bits,
+                              entries={k: k for k in keys}, max_cols=1)
 
 
 # -- the nearest-key kernel against a linear scan ---------------------------------
@@ -59,7 +60,6 @@ def test_nearest_key_empty_table():
     table = key_table([], 16)
     for radius in (0, 5):
         assert nearest(table, [123, 0], radius) == [("not_found", -1, -1)] * 2
-        assert "index" not in vars(table)
     assert nearest(table, [], 5) == []
 
 
@@ -149,8 +149,8 @@ def test_min_distance_decode_not_found():
 
 def test_min_distance_decode_ambiguous_tie():
     pc, _ = desk_table()
-    table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
-                                entries={0b0011: 1, 0b0101: 2}, max_cols=1)
+    table = table_from_entries(pc=pc, error_type="X", key_bits=6,
+                               entries={0b0011: 1, 0b0101: 2}, max_cols=1)
     # a tie names no key, so there is no correction to read
     assert nearest(table, [0b0001], 1) == [("ambiguous", 1, -1)]
 
@@ -175,8 +175,8 @@ def assert_nearest_matches_brute(table, keys, radius):
 @pytest.mark.parametrize("radius", [0, 1, 2])
 def test_nearest_key_exhaustive_on_desk_and_tie_tables(radius):
     pc, table = desk_table()
-    tie = product.LookupTable(pc=pc, error_type="X", key_bits=6,
-                              entries={0b01: 0b01, 0b10: 0b10}, max_cols=1)
+    tie = table_from_entries(pc=pc, error_type="X", key_bits=6,
+                             entries={0b01: 0b01, 0b10: 0b10}, max_cols=1)
     for t in (table, tie):
         assert_nearest_matches_brute(t, list(range(1 << 6)), radius)
 
@@ -191,19 +191,73 @@ def test_nearest_key_near_every_stored_key():
     assert_nearest_matches_brute(table, keys, radius)
 
 
-def test_nearest_key_radius_zero_builds_no_index():
-    """Exact lookup reads table.entries alone; a positive radius builds the
-    index once, and an exact hit there is the unique nearest key."""
+def test_nearest_key_radius_zero_searches_the_sorted_keys(monkeypatch):
+    """The table is its sorted key words and their corrections, nothing
+    more; exact lookup is one binary search over those words, a positive
+    radius scans the same words, and an exact hit there is the unique
+    nearest key."""
     pc, table = noisy_table()
-    key = sorted(table.entries)[3]
-    hit = ("ok", 0, table.entries[key])
+    assert set(vars(table)) == {"pc", "error_type", "key_bits", "max_cols", "keys", "fixes"}
+    assert table.keys.shape == (36, 1) and table.fixes.shape == (36, 1)
+    stored = table.keys[:, 0].tolist()
+    assert stored == sorted(set(stored)) == list(table.entries)
+    key = stored[3]
+    hit = ("ok", 0, table.fixes[3, 0].item())
+    searches = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a: searches.append(a) or searchsorted(*a))
     assert nearest(table, [key, key ^ 1], 0) == [hit, ("not_found", -1, -1)]
+    assert len(searches) == 1
     assert nearest(table, [key], -1) == [("not_found", -1, -1)]
-    assert "index" not in vars(table)
     assert nearest(table, [key], 2) == [hit]
-    words, values = table.index
-    assert words.shape == (36, 1) and words[:, 0].tolist() == list(table.entries)
-    assert values.tolist() == list(table.entries.values())
+    assert len(searches) == 1
+
+
+# -- built and loaded tables -------------------------------------------------------
+
+def dict_exact_lookup(entries: dict, keys) -> list[tuple[str, int, int]]:
+    """The exact lookup the sorted words replaced: ``entries.get`` per key."""
+    found = [entries.get(k, -1) for k in keys]
+    return [("ok", 0, v) if v >= 0 else ("not_found", -1, -1) for v in found]
+
+
+LOADED_CASES = {  # (product code, max_cols, how many stored keys get every <=2-bit corruption)
+    "desk": (lambda: ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt"), 1, None),
+    "bch15:3pt-steane-t_src1": (lambda: ProductCode(classical.bch(4, 3), quantum.steane(),
+                                                    hc_mode="pt", t_src=1), 1, None),
+    # 1,726 entries, 80-bit keys (two words), 255-bit corrections (four words)
+    "bch15:3-color17-one-column": (lambda: ProductCode(classical.bch(4, 3), quantum.color17()),
+                                   1, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(LOADED_CASES))
+def test_loaded_table_decodes_as_the_built_one(tmp_path, case):
+    """save -> load gives back the build's key and correction words, and
+    nearest_key answers the same on the built and the loaded table at
+    radius 0 and at t_C - t_src, for every stored key and every <=2-bit
+    corruption of stored keys (of 3 sampled keys on the wide table, whose
+    2-bit corruptions number 3,160 per key); at radius 0 both agree with a
+    dict's exact lookup."""
+    make, max_cols, sampled = LOADED_CASES[case]
+    pc = make()
+    built = product.build_lookup_table(pc, max_cols=max_cols)
+    path = str(tmp_path / "t.lut")
+    product.save_lookup_table(built, path)
+    loaded = product.load_lookup_table(path, pc)
+    assert np.array_equal(built.keys, loaded.keys) and np.array_equal(built.fixes, loaded.fixes)
+    assert (loaded.key_bits, loaded.max_cols, loaded.error_type) == (
+        built.key_bits, built.max_cols, built.error_type)
+    stored = list(built.entries)
+    masks = [sum(1 << i for i in flips) for w in (1, 2)
+             for flips in itertools.combinations(range(built.key_bits), w)]
+    corrupted = random.Random(case).sample(stored, sampled) if sampled else stored
+    keys = stored + [k ^ m for k in corrupted for m in masks]
+    entries = dict(built.entries.items())
+    assert len(entries) == len(stored) == len(built.keys)
+    for radius in (0, pc.t_c - pc.t_src):
+        assert nearest(built, keys, radius) == nearest(loaded, keys, radius)
+    assert nearest(loaded, keys, 0) == dict_exact_lookup(entries, keys)
 
 
 # -- localization -------------------------------------------------------------

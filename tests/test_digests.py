@@ -12,11 +12,11 @@ from qproduct.gf2 import BitMatrix
 
 TABLES = [
     (["--c", "hamming3pt", "--q", "rep3"],
-     "3a85c735d207313b7a893145c9d887f966cee3a66d8fa75847da64a245294158"),
+     "dfd1df4e8a2d98508d3d7af947a4534e9acb3ca3852a90081961829aa1862d05"),
     (["--c", "bch:15:3pt", "--q", "steane", "--tsrc", "1", "--max-cols", "1"],
-     "8182e30df455e93f1e921adf07c80755213942dc66740a37743a75329d0c797c"),
+     "d4e1bfd6180d4ecc2cd5c424dbf812003aecb860c2106948b2eb92debf85aec2"),
     (["--c", "bch:15:3", "--q", "steane"],  # 161,316 entries
-     "c689302a815d58681a05ddc7ceffd3c605068ef8105d4c0a8351e345632ede4a"),
+     "befc3e480cd0d926beddd5a6f73fdfa42e958ffe0470332e4389b376ad1c3385"),
 ]
 
 REPORTS = [

@@ -6,6 +6,7 @@ import itertools
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from qproduct import classical, gf2, product, quantum
@@ -13,7 +14,8 @@ from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ErrorPattern, ProductCode
 
 from helpers import (count_class_evaluations, differs_by_stabilizers, is_normalizer_element,
-                     pattern_from_packed, stabilizer_span, syndrome, syndrome_from_key)
+                     pattern_from_packed, stabilizer_span, syndrome, syndrome_from_key,
+                     table_from_entries)
 
 
 def desk_instance():
@@ -274,9 +276,9 @@ def reference_build(pc, error_type="X", max_cols=None):
                         )
                 else:
                     entries[key] = packed
-    return product.LookupTable(pc=pc, error_type=error_type,
-                               key_bits=hq.rows * hc.rows, entries=entries,
-                               max_cols=max_cols)
+    return table_from_entries(pc=pc, error_type=error_type,
+                              key_bits=hq.rows * hc.rows, entries=entries,
+                              max_cols=max_cols)
 
 
 def paper_scale_t_src_1():
@@ -299,20 +301,29 @@ BUILD_CASES = {
     "steane-hamming3-full": (lambda: ProductCode(classical.hamming(3), quantum.steane()),
                              "X", None),
     "bch127:6pt-color17-t_src1": (paper_scale_t_src_1, "X", 1),
+    # no per-column pattern: the zero pattern alone
+    "desk-t_q0": (lambda: ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt",
+                                      t_q=0), "X", None),
 }
+
+
+def same_table(a, b) -> bool:
+    """Same code, error type, key width, column cap, key words and
+    correction words, row for row."""
+    return ((a.pc, a.error_type, a.key_bits, a.max_cols) == (b.pc, b.error_type, b.key_bits,
+                                                            b.max_cols)
+            and np.array_equal(a.keys, b.keys) and np.array_equal(a.fixes, b.fixes))
 
 
 @pytest.mark.parametrize("case", list(BUILD_CASES))
 def test_build_matches_reference_loop(case):
-    """Same entries, insertion order, representatives, key_bits and column cap
-    as the per-pattern loop."""
+    """Same entries, representatives, key_bits and column cap as the
+    per-pattern loop, with the keys sorted once into words."""
     make, error_type, max_cols = BUILD_CASES[case]
     pc = make()
     got = product.build_lookup_table(pc, error_type, max_cols=max_cols)
     want = reference_build(pc, error_type, max_cols)
-    assert got == want
-    assert list(got.entries.items()) == list(want.entries.items())
-    assert (got.key_bits, got.max_cols) == (want.key_bits, want.max_cols)
+    assert same_table(got, want)
 
 
 def test_build_blocks_split_inside_a_column_combination(monkeypatch):
@@ -357,12 +368,14 @@ def test_build_tests_stabilizer_equivalence_only_on_collisions(monkeypatch, make
 
 
 def reference_save(table, path):
-    """The writer chunked records replaced: every line held as a string."""
+    """The writer chunked records replaced: every line held as a string,
+    each field zero-padded to its fixed width."""
     header = product._table_header(table.pc, table.error_type, table.max_cols,
                                    len(table.entries))
-    lines = ["qproduct-lut " + " ".join(f"{k}={v}" for k, v in header.items())]
+    kd, fd = -(-table.key_bits // 4), -(-table.pc.N // 4)
+    lines = ["qproduct-lut2 " + " ".join(f"{k}={v}" for k, v in header.items())]
     for key in sorted(table.entries):
-        lines.append(f"{key:x} {table.entries[key]:x}")
+        lines.append(f"{key:0{kd}x} {table.entries[key]:0{fd}x}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -378,8 +391,8 @@ def test_writer_bytes_match_reference_writer(tmp_path, monkeypatch, which):
         assert (table.key_bits, pc.N) == (336, 1445)
     elif which == "zero-only":
         pc = desk_instance()
-        table = product.LookupTable(pc=pc, error_type="X", key_bits=6, entries={0: 0},
-                                    max_cols=1)
+        table = table_from_entries(pc=pc, error_type="X", key_bits=6, entries={0: 0},
+                                   max_cols=1)
     else:
         pc = ProductCode(classical.bch(4, 3), quantum.steane(), t_c=2)
         table = product.build_lookup_table(pc)
@@ -388,7 +401,21 @@ def test_writer_bytes_match_reference_writer(tmp_path, monkeypatch, which):
     product.save_lookup_table(table, str(tmp_path / "got.lut"))
     reference_save(table, str(tmp_path / "want.lut"))
     assert (tmp_path / "got.lut").read_bytes() == (tmp_path / "want.lut").read_bytes()
-    assert product.load_lookup_table(str(tmp_path / "got.lut"), pc) == table
+    assert same_table(product.load_lookup_table(str(tmp_path / "got.lut"), pc), table)
+
+
+def test_entries_view_reads_the_sorted_words():
+    """``entries`` is a read-only mapping over the table's arrays: its length
+    is their row count, it iterates the keys in ascending order, and a key
+    outside [0, 2^key_bits) or not stored is missing, not an error."""
+    table = product.build_lookup_table(desk_instance())
+    entries = table.entries
+    assert len(entries) == len(table.keys) == 13
+    assert list(entries) == sorted(entries) == table.keys[:, 0].tolist()
+    assert entries[5] == 2 and 4 not in entries
+    assert [entries.get(k) for k in (-1, 1 << 6, 1 << 70)] == [None] * 3
+    with pytest.raises(TypeError):
+        entries[4] = 1
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -408,13 +435,14 @@ def test_constructed_table_saves_and_reloads(tmp_path):
     """A table made without build_lookup_table names its column cap: the
     cap had a default of -1, saved as mc=-1, which the loader refused."""
     pc = desk_instance()
+    table = table_from_entries(pc=pc, error_type="X", key_bits=6,
+                               entries={0: 0, 0b000101: 0b10}, max_cols=1)
     with pytest.raises(TypeError, match="max_cols"):
-        product.LookupTable(pc=pc, error_type="X", key_bits=6, entries={0: 0})
-    table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
-                                entries={0: 0, 0b000101: 0b10}, max_cols=1)
+        product.LookupTable(pc=pc, error_type="X", key_bits=6, keys=table.keys,
+                            fixes=table.fixes)
     path = str(tmp_path / "t.lut")
     product.save_lookup_table(table, path)
-    assert product.load_lookup_table(path, pc) == table
+    assert same_table(product.load_lookup_table(path, pc), table)
 
 
 def test_load_rejects_wrong_product(tmp_path):

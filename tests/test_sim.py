@@ -14,7 +14,7 @@ from qproduct.product import ProductCode
 from qproduct.sim import TrialConfig
 
 from helpers import (brute_nearest, count_class_evaluations, differs_by_stabilizers,
-                     pattern_from_packed, stabilizer_span, to_numpy)
+                     pattern_from_packed, stabilizer_span, table_from_entries, to_numpy)
 
 
 def desk_instance():
@@ -196,7 +196,8 @@ def test_run_trials_stabilizer_shifted_table_hits_are_degenerate(monkeypatch, mo
                      t_src=1)
     table = product.build_lookup_table(pc)
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
-    table = dataclasses.replace(table, entries={k: v ^ shift for k, v in table.entries.items()})
+    table = table_from_entries(pc, "X", table.key_bits,
+                               {k: v ^ shift for k, v in table.entries.items()}, table.max_cols)
     counts = count_class_evaluations(monkeypatch, sim)
     rep = sim.run_trials(TrialConfig(pc=pc, p=0.02, shots=2000, seed=3,
                                      decode_mode=mode), table)
@@ -210,8 +211,8 @@ def test_run_trials_ties_charged_as_ambiguities():
     """Against a table whose two keys sit at distance 1 from the zero key,
     every shot fails and the zero-syndrome shots (most of them) are ties."""
     pc = desk_instance()
-    table = product.LookupTable(pc=pc, error_type="X", key_bits=6,
-                                entries={0b01: 0, 0b10: 0}, max_cols=1)
+    table = table_from_entries(pc=pc, error_type="X", key_bits=6,
+                               entries={0b01: 0, 0b10: 0}, max_cols=1)
     rep = sim.run_trials(TrialConfig(pc=pc, p=0.01, shots=1000, seed=4,
                                      decode_mode="min_distance"), table)
     causes = ("class_misses", "decode_errors", "ambiguities")
@@ -309,7 +310,8 @@ def _shifted_table():
     pc = bch_steane()
     table = product.build_lookup_table(pc)
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
-    return dataclasses.replace(table, entries={k: v ^ shift for k, v in table.entries.items()})
+    return table_from_entries(pc, "X", table.key_bits,
+                              {k: v ^ shift for k, v in table.entries.items()}, table.max_cols)
 
 
 def _desk_t_c_3_case():
@@ -321,8 +323,8 @@ def _desk_t_c_3_case():
 
 
 def _tie_table():
-    return product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6,
-                               entries={0b01: 0, 0b10: 0}, max_cols=1)
+    return table_from_entries(pc=desk_instance(), error_type="X", key_bits=6,
+                              entries={0b01: 0, 0b10: 0}, max_cols=1)
 
 
 TRIAGE_CASES = {
@@ -348,8 +350,8 @@ TRIAGE_CASES = {
     "steane-hamming-full-lookup": lambda: (steane_hamming_full(), {"p": 0.01}, None),
     "empty-table-lookup": lambda: (
         desk_instance(), {"p": 0.05},
-        product.LookupTable(pc=desk_instance(), error_type="X", key_bits=6, entries={},
-                            max_cols=1)),
+        table_from_entries(pc=desk_instance(), error_type="X", key_bits=6, entries={},
+                           max_cols=1)),
     # t_C = 3 admits three-column normalizer elements: nonzero truth, zero key
     "desk-normalizers-in-class": _desk_t_c_3_case,
 }
@@ -454,7 +456,7 @@ def test_h_c_reads_per_call(monkeypatch, make, max_cols, build_reads, cfg):
 
 def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
     """Lookup mode reads the table with one exact (radius 0) nearest_key
-    call per batch and one for the all-zero outcome, builds no index, and
+    call per batch and one for the all-zero outcome, and
     only shots whose stored correction differs from the truth reach the
     stabilizer-equivalence class, whose map is built at most once per
     batch."""
@@ -476,7 +478,6 @@ def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
         rep = sim.run_trials(TrialConfig(pc=pc, p=0.05, shots=shots, seed=7), table)
         assert rep.breakdown["class_misses"] > 0
         assert calls["nearest_key"] == 1 + -(-shots // sim.BATCH)
-        assert "index" not in vars(table)
         # with the desk table every in-class key is stored, so a failure
         # with a stored entry is a decode error
         assert counts["evaluations"] == (rep.breakdown["degenerate_hits"]
@@ -487,23 +488,27 @@ def test_lookup_mode_runs_no_per_shot_decoder_calls(monkeypatch):
 @pytest.mark.parametrize("mode", ["lookup", "min_distance"])
 @pytest.mark.parametrize("route", ["assign", "replace"])
 def test_table_indexes_follow_the_entries(mode, route):
-    """A frozen table refuses new entries, and one emptied with
-    dataclasses.replace after a run decodes as a fresh empty table does:
-    the index does not outlive its entries."""
+    """A table's sorted words are its only state, and nothing derived from
+    them outlives a run: a frozen table refuses new arrays, its arrays refuse
+    in-place writes, and one emptied with dataclasses.replace after a run
+    decodes as a fresh empty table does."""
     pc = bch_steane()
     table = product.build_lookup_table(pc, max_cols=pc.t_src if mode == "min_distance"
                                        else pc.t_c)
     cfg = TrialConfig(pc=pc, p=0.05, shots=2000, seed=1, decode_mode=mode)
     before = sim.run_trials(cfg, table)
-    assert ("index" in vars(table)) == (mode == "min_distance")  # radius 0 builds none
+    assert set(vars(table)) == {"pc", "error_type", "key_bits", "max_cols", "keys", "fixes"}
     if route == "assign":
         with pytest.raises(dataclasses.FrozenInstanceError):
-            table.entries = {}
+            table.keys = table.keys[:0]
+        for words in (table.keys, table.fixes):
+            with pytest.raises(ValueError, match="read-only"):
+                words[0] = 0
         assert sim.run_trials(cfg, table) == before
         return
-    table = dataclasses.replace(table, entries={})
-    fresh = product.LookupTable(pc=pc, error_type="X", key_bits=table.key_bits,
-                                entries={}, max_cols=table.max_cols)
+    table = dataclasses.replace(table, keys=table.keys[:0], fixes=table.fixes[:0])
+    fresh = table_from_entries(pc=pc, error_type="X", key_bits=table.key_bits,
+                               entries={}, max_cols=table.max_cols)
     report = sim.run_trials(cfg, table)
     assert report == sim.run_trials(cfg, fresh)
     assert report.breakdown["decode_errors"] > 1000
