@@ -167,10 +167,11 @@ def cmd_decode(args) -> int:
             raise GF2Error(f"--radius must be >= 0, got {radius}")
     elif args.radius is not None:
         raise GF2Error("--radius requires --min-distance")
-    (status,), (distance,), (correction,) = (
-        a.tolist() for a in decoder.nearest_key(table, [key], radius))
+    (status,), (distance,), (row,) = (a.tolist() for a in decoder.nearest_key(
+        table, product.as_words([key], table.keys.shape[1]), radius))
     out = {"status": status, "distance": distance}
     if status == "ok":
+        (correction,) = product.from_words(table.fixes[[row]])
         out["correction"] = gf2.int_to_bitstring(correction, pc.q.n * pc.L)
     print(json.dumps(out, sort_keys=True))
     return 0

@@ -1,8 +1,8 @@
 """Decoding paths over product-code lookup tables.
 
-Exact key lookup and batched nearest-key decoding of noisy syndromes (one
-numpy distance scan over the table's key words), and logical-qubit
-localization from the rows of the product syndrome.
+Exact and nearest-key lookup of key word rows, answered as table rows (one
+numpy distance scan over the table's key words for noisy syndromes), and
+logical-qubit localization from the rows of the product syndrome.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import classical
 from .gf2 import GF2Error
-from .product import LookupTable, ProductCode, ProductSyndrome, as_words
+from .product import LookupTable, ProductCode, ProductSyndrome
 
 
 class LocalizationError(GF2Error):
@@ -28,28 +28,26 @@ BLOCK_ELEMENTS = 1 << 18  # cap on the (queries, keys, words) elements of one di
 _STATUS = np.array(["ok", "ambiguous", "not_found"])
 
 
-def nearest_key(table: LookupTable, keys, radius: int
+def nearest_key(table: LookupTable, queries: np.ndarray, radius: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Table decode of a batch of keys: (status, distance, correction)
-    arrays, one entry per key, from the unique stored key nearest to each
+    """Table decode of a batch of key word rows: (status, distance, row)
+    arrays, one entry per query, from the unique stored key nearest to each
     within the Hamming ``radius``.
 
     Status is 'ok', 'not_found' or 'ambiguous'; equal-distance ties are
     surfaced, never broken.  The distance is -1 where no stored key lies
-    within the radius, the correction -1 unless the status is 'ok'.
-    Radius 0 is exact lookup, a binary search of the table's sorted key
-    words (``LookupTable.rows``); a negative radius finds nothing.  A
-    positive radius XORs the keys against the same words, counts the set
-    bits and takes each key's minimum, tie count and argmin, in blocks of
-    at most BLOCK_ELEMENTS elements (or one key).  Keys are nonnegative ints
-    in any sequence; ints are made only for the corrections returned.
+    within the radius, the row -1 unless the status is 'ok'.  Radius 0 is
+    exact lookup, a binary search of the table's sorted key words
+    (``LookupTable.rows``); a negative radius finds nothing.  A positive
+    radius XORs the queries against the same words, counts the set bits and
+    takes each query's minimum, tie count and argmin, in blocks of at most
+    BLOCK_ELEMENTS elements (or one query).
     """
     words = table.keys
-    queries = as_words(keys, words.shape[1])
     if radius <= 0 or not len(words):  # an empty table finds nothing
         pos = table.rows(queries) if radius == 0 else np.full(len(queries), -1)
         hit = pos >= 0
-        return np.where(hit, "ok", "not_found"), np.where(hit, 0, -1), table.corrections(pos)
+        return np.where(hit, "ok", "not_found"), np.where(hit, 0, -1), pos
     best = np.empty(len(queries), dtype=np.intp)
     ties = np.empty(len(queries), dtype=np.intp)
     pos = np.empty(len(queries), dtype=np.intp)
@@ -61,8 +59,7 @@ def nearest_key(table: LookupTable, keys, radius: int
         ties[lo:lo + step] = (dist == low[:, None]).sum(axis=1)
         pos[lo:lo + step] = dist.argmin(axis=1)
     code = np.where(best > radius, 2, np.where(ties > 1, 1, 0))
-    return (_STATUS[code], np.where(code < 2, best, -1),
-            table.corrections(np.where(code == 0, pos, -1)))
+    return _STATUS[code], np.where(code < 2, best, -1), np.where(code == 0, pos, -1)
 
 
 @dataclass(frozen=True)

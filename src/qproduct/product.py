@@ -200,13 +200,19 @@ def _pattern_from_columns(cols: list[int], n: int, error_type: str) -> ErrorPatt
     return ErrorPattern(BitMatrix(cols, n).transpose(), error_type)
 
 
+def _column_patterns(n: int, t_q: int) -> list[int]:
+    """The nonzero n-bit column patterns of weight <= t_Q, by weight then support."""
+    return [sum(1 << i for i in supp) for w in range(1, t_q + 1)
+            for supp in itertools.combinations(range(n), w)]
+
+
 def class_E_size(pc: ProductCode, max_cols: int | None = None) -> int:
-    """Number of patterns (including zero) the lookup table will hold."""
-    n = pc.q.n
-    if max_cols is None:
-        max_cols = pc.t_c
-    per_col = sum(math.comb(n, w) for w in range(1, pc.t_q + 1))
-    return sum(math.comb(pc.L, c) * per_col ** c for c in range(max_cols + 1))
+    """Keys of the X-error lookup table: the zero key and one per choice of c <= max_cols
+    columns (default t_C) and of a nonzero syndrome of weight <= t_Q patterns in each."""
+    max_cols = pc.t_c if max_cols is None else max_cols
+    columns = pc.q.check_matrix("X").transpose().row_data
+    classes = len({gf2.xor_bits(columns, p) for p in _column_patterns(pc.q.n, pc.t_q)} - {0})
+    return sum(math.comb(pc.L, c) * classes ** c for c in range(max_cols + 1))
 
 
 def n_words(bits: int) -> int:
@@ -216,8 +222,6 @@ def n_words(bits: int) -> int:
 
 def as_words(values, w: int) -> np.ndarray:
     """(len(values), w) uint64 words of nonnegative ints, most significant first."""
-    if w == 1:
-        return np.array(values, dtype=np.uint64).reshape(-1, 1)
     blob = b"".join(int(v).to_bytes(8 * w, "big") for v in values)
     return np.frombuffer(blob, dtype=">u8").astype(np.uint64).reshape(-1, w)
 
@@ -268,18 +272,6 @@ class LookupTable:
         at = np.searchsorted(stored, want)
         return np.where(stored.take(at, mode="clip") == want, at, -1)
 
-    def corrections(self, rows: np.ndarray) -> np.ndarray:
-        """The correction at each row, -1 at row -1: int64 while they all fit,
-        else Python ints, made only for these rows."""
-        if not len(self.fixes):
-            return np.full(len(rows), -1)
-        picked, hit = self.fixes[rows], rows >= 0  # row -1 picks the last row: masked
-        if picked.shape[1] == 1 and picked.max(initial=0) < 1 << 63:
-            return np.where(hit, picked[:, 0].view(np.int64), -1)
-        out = np.full(len(rows), -1, dtype=object)
-        out[hit] = from_words(picked[hit])
-        return out
-
 
 class TableEntries(Mapping):
     """Read-only {key: correction} view of a LookupTable, in key order: its
@@ -296,12 +288,10 @@ class TableEntries(Mapping):
 
     def __getitem__(self, key: int) -> int:
         t = self._table
-        if not 0 <= key < 1 << t.key_bits:
+        row = t.rows(as_words([key], t.keys.shape[1]))[0] if 0 <= key < 1 << t.key_bits else -1
+        if row < 0:
             raise KeyError(key)
-        (value,) = t.corrections(t.rows(as_words([key], t.keys.shape[1]))).tolist()
-        if value < 0:
-            raise KeyError(key)
-        return value
+        return from_words(t.fixes[[row]])[0]
 
 
 def build_lookup_table(pc: ProductCode, error_type: str = "X",
@@ -330,9 +320,8 @@ def build_lookup_table(pc: ProductCode, error_type: str = "X",
     hq, hc = pc.q.check_matrix(error_type), pc.h_c
     # per-column patterns of weight 1..t_q; row ell * len(patterns) + pi of
     # key_of and fix_of is the key and the correction of pattern pi in column ell
-    patterns = [sum(1 << i for i in supp) for w in range(1, pc.t_q + 1)
-                for supp in itertools.combinations(range(n), w)]
-    # class_E_size's count, from this H_C: each read of pc.h_c rebuilds it
+    patterns = _column_patterns(n, pc.t_q)
+    # the patterns enumerated, from this H_C: each read of pc.h_c rebuilds it
     size = sum(math.comb(hc.cols, c) * len(patterns) ** c for c in range(max_cols + 1))
     if size > TABLE_SIZE_GUARD:
         raise GF2Error(

@@ -8,11 +8,11 @@ from typing import Iterable
 
 import numpy as np
 
-from qproduct import gf2
+from qproduct import decoder, gf2
 from qproduct.classical import ClassicalCode
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import (ErrorPattern, LookupTable, ProductCode, ProductSyndrome, as_words,
-                              extract_syndrome, n_words)
+                              extract_syndrome, from_words, n_words)
 from qproduct.quantum import CssCode, PauliOp
 
 
@@ -175,3 +175,14 @@ def brute_nearest(entries, keys, radius: int) -> list[tuple[str, int, int]]:
                    else ("ok", best, entries[nearest[0]]) if len(nearest) == 1
                    else ("ambiguous", best, -1))
     return out
+
+
+def nearest(table: LookupTable, keys, radius: int) -> list[tuple[str, int, int]]:
+    """decoder.nearest_key's answer for int keys, one (status, distance,
+    correction) tuple per key: the keys go in as the table's key words, and
+    each row comes back as its stored correction, -1 for row -1."""
+    status, distance, rows = decoder.nearest_key(table, as_words(keys, table.keys.shape[1]),
+                                                 radius)
+    fixes = np.full(len(rows), -1, dtype=object)
+    fixes[rows >= 0] = from_words(table.fixes[rows[rows >= 0]])
+    return list(zip(status.tolist(), distance.tolist(), fixes.tolist()))

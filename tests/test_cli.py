@@ -90,6 +90,19 @@ def test_product_info(capsys):
     assert info["hc_mode"] == "pt" and info["table_entries"] == 13
 
 
+@pytest.mark.parametrize("c,q", [("hamming3pt", "rep3"), ("rep:5pt", "color17"),
+                                 ("bch:15:3", "steane")])
+def test_product_info_counts_the_entries_build_table_writes(capsys, tmp_path, c, q):
+    """info's table_entries counts the syndrome classes the table is keyed
+    by: rep:5pt x color17 has 154 patterns of one column but 116 keys."""
+    code, out, _ = run(capsys, "product", "info", "--c", c, "--q", q)
+    assert code == 0
+    entries = json.loads(out)["table_entries"]
+    code, out, _ = run(capsys, "product", "build-table", "--c", c, "--q", q,
+                       "--out", str(tmp_path / "t.lut"))
+    assert code == 0 and json.loads(out)["entries"] == entries
+
+
 def test_product_build_decode_roundtrip(capsys, tmp_path):
     table_path = str(tmp_path / "desk.lut")
     code, out, _ = run(capsys, "product", "build-table", "--c", "hamming3pt",

@@ -11,18 +11,12 @@ from qproduct.decoder import LocalizationError, LocalizationResult
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ProductCode, ProductSyndrome
 
-from helpers import (brute_nearest, pattern_from_packed, syndrome, table_from_entries,
+from helpers import (brute_nearest, nearest, pattern_from_packed, syndrome, table_from_entries,
                      vector_from_support)
 
 
 def pattern(pc, bits):
     return pattern_from_packed(bits, pc.q.n, pc.L)
-
-
-def nearest(table, keys, radius):
-    """decoder.nearest_key's batch answer as one (status, distance, correction)
-    tuple per key."""
-    return list(zip(*(a.tolist() for a in decoder.nearest_key(table, keys, radius))))
 
 
 def key_table(keys, key_bits):
@@ -101,7 +95,6 @@ def test_nearest_key_batch_straddles_the_block_cap():
     probes = [rng.randrange(1 << 20) for _ in range(2 * per_block + 7)]
     probes += [k ^ 1 for k in keys[:50]]
     assert nearest(table, probes, 3) == brute_nearest(table.entries, probes, 3)
-    assert nearest(table, np.array(probes, dtype=np.int64), 3) == nearest(table, probes, 3)
 
 
 # -- exact and nearest-key decoding ------------------------------------------

@@ -74,35 +74,50 @@ def steane_hamming_full():
     return ProductCode(classical.hamming(3), quantum.steane(), hc_mode="full")
 
 
+def color17_bch_full():
+    """bch:15:3 x color17, t_src=1: 255-bit patterns, 80-bit keys."""
+    return ProductCode(classical.bch(4, 3), quantum.color17(), t_src=1)
+
+
 def test_key_tables_match_extract_syndrome():
-    """The packed key of every single-bit pattern, and of random multi-bit
-    patterns read through the byte tables, is extract_syndrome's key."""
+    """The key words of every single-bit pattern, and of random multi-bit
+    patterns read through the byte tables, are extract_syndrome's key, on
+    one-word keys and on 80-bit keys of 255-bit patterns."""
     rng = random.Random(8)
-    for pc in (desk_instance(), bch_steane(), color17_rep5(), steane_hamming_full()):
-        tables = sim._key_tables(product.key_map(pc.q.check_matrix("X"), pc.h_c))
-        assert tables.shape == (-(-pc.N // 8), 256)
+    for pc in (desk_instance(), bch_steane(), color17_rep5(), steane_hamming_full(),
+               color17_bch_full()):
+        w = product.n_words(pc.key_bits())
+        tables = sim._key_tables(product.key_map(pc.q.check_matrix("X"), pc.h_c), w)
+        assert tables.shape == (-(-pc.N // 8), 256, w)
         assert not tables[:, 0].any()
         for bit in range(pc.N):
             e = pattern_from_packed(1 << bit, pc.q.n, pc.L)
-            assert int(tables[bit // 8, 1 << (bit % 8)]) == product.extract_syndrome(pc, e).key
+            (key,) = product.from_words(tables[bit // 8, [1 << (bit % 8)]])
+            assert key == product.extract_syndrome(pc, e).key
         for _ in range(50):
             packed = rng.getrandbits(pc.N)
             e = pattern_from_packed(packed, pc.q.n, pc.L)
-            key = 0
+            key = np.zeros(w, dtype=np.uint64)
             for j, table in enumerate(tables):
-                key ^= int(table[(packed >> (8 * j)) & 255])
-            assert key == product.extract_syndrome(pc, e).key
+                key ^= table[(packed >> (8 * j)) & 255]
+            assert product.from_words(key[None]) == [product.extract_syndrome(pc, e).key]
 
 
-def test_pack_width_guard():
-    with pytest.raises(GF2Error, match="int64"):
-        sim._pack(np.zeros((1, 80), dtype=np.uint8))
-    got = sim._pack(np.array([[1, 0, 1]], dtype=np.uint8))
-    assert int(got[0]) == 0b101
+def python_ints(bits):
+    """Each row of a (shots, width) 0/1 array as a Python int, column j at bit j."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in bits]
+
+
+def test_pack_matches_python_ints():
+    """Word rows of any width, one word and several, hold the Python-int
+    packing of each row in ``product.as_words``' layout."""
     rng = np.random.default_rng(0)
-    bits = rng.random((40, 62)) < 0.5
-    want = [sum(1 << j for j in range(62) if row[j]) for row in bits]
-    assert sim._pack(bits).tolist() == want
+    for width in (1, 12, 62, 63, 64, 65, 105, 255, 1445):
+        bits = rng.random((40, width)) < 0.5
+        bits[0], bits[1] = 0, 1  # all zeros and all ones
+        got = sim._pack(bits)
+        assert got.shape == (40, product.n_words(width))
+        assert np.array_equal(got, product.as_words(python_ints(bits), got.shape[1]))
 
 
 def test_noise_probs_closed_form():
@@ -236,7 +251,8 @@ def _key_matrix(hq, hc):
 
 def reference_run_trials(cfg, table):
     """The per-shot loop that preceded the batch triage: every shot visits
-    Python, and min_distance mode decodes each in-class shot by brute force."""
+    Python as Python ints, and min_distance mode decodes each in-class shot
+    by brute force."""
     pc = cfg.pc
     hq, hc = pc.q.check_matrix(cfg.error_type), pc.h_c
     n, L = pc.q.n, pc.L
@@ -249,37 +265,39 @@ def reference_run_trials(cfg, table):
     radius = pc.t_c - pc.t_src
     nearest = functools.cache(lambda key: brute_nearest(entries, [key], radius)[0])
     noise_probs = sim._noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
+    # BATCH shots a draw while patterns and keys fit one word, fewer past it
+    width = max(n * L, table.key_bits)
+    per_batch = sim.BATCH if width <= 64 else sim.BATCH * 64 // width
     breakdown = {"class_misses": 0, "decode_errors": 0, "ambiguities": 0,
                  "noise_over_budget": 0, "degenerate_hits": 0}
     failures = 0
     done = 0
     while done < cfg.shots:
-        b = min(sim.BATCH, cfg.shots - done)
+        b = min(per_batch, cfg.shots - done)
         done += b
         bits = (rng.random((b, n * L)) < cfg.p).astype(np.uint8)
-        keys = sim._pack((bits @ key_mat) & 1)
-        truths = sim._pack(bits)
+        keys = python_ints((bits @ key_mat) & 1)
+        truths = python_ints(bits)
         colw = bits.reshape(b, L, n).sum(axis=2)
         in_e = ((colw <= pc.t_q).all(axis=1)
                 & ((colw > 0).sum(axis=1) <= pc.t_c))
         if cfg.syndrome_noise:
-            flips = sim._pack((rng.random((b, table.key_bits))
-                               < noise_probs).astype(np.uint8))
+            flips = python_ints(rng.random((b, table.key_bits)) < noise_probs)
             in_budget = (colw > 0).sum(axis=1) <= pc.t_src
         for shot in range(b):
             if not in_e[shot]:
                 failures += 1
                 breakdown["class_misses"] += 1
                 continue
-            truth = int(truths[shot])
-            key = int(keys[shot])
+            truth = truths[shot]
+            key = keys[shot]
             if truth == 0 and skip_zero:
                 continue
             cause = "decode_errors"
             if lookup:
                 stored = entries.get(key)
             else:
-                flip = int(flips[shot]) if cfg.syndrome_noise else 0
+                flip = flips[shot] if cfg.syndrome_noise else 0
                 if cfg.syndrome_noise and not (in_budget[shot]
                                                and flip.bit_count() <= radius):
                     failures += 1
@@ -354,7 +372,17 @@ TRIAGE_CASES = {
                            max_cols=1)),
     # t_C = 3 admits three-column normalizer elements: nonzero truth, zero key
     "desk-normalizers-in-class": _desk_t_c_3_case,
+    # wide shots: 105-bit patterns (two words), 30-bit keys, the 161,316-entry table
+    "bch-steane-full-lookup": lambda: (ProductCode(classical.bch(4, 3), quantum.steane()),
+                                       {"p": 0.01}, None),
+    # 255-bit patterns (four words), 80-bit keys (two words)
+    "color17-bch-min-distance": lambda: (color17_bch_full(),
+                                         {"p": 0.003, "decode_mode": "min_distance"}, None),
+    "color17-bch-min-distance-noisy": lambda: (
+        color17_bch_full(), {"p": 0.003, "decode_mode": "min_distance", "syndrome_noise": True,
+                             "p_e": 1e-4}, None),
 }
+SLOW_REFERENCE = ("color17-bch-min-distance", "color17-bch-min-distance-noisy")  # 4-8 s at 40k
 
 
 NOISY_CASES = [case for case in TRIAGE_CASES if TRIAGE_CASES[case]()[1].get("syndrome_noise")]
@@ -378,11 +406,13 @@ def test_noise_probs_match_per_bit_list(case):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("shots", [1, 1000, 40000])
-@pytest.mark.parametrize("case", list(TRIAGE_CASES))
+@pytest.mark.parametrize("case,shots", [(case, shots) for case in TRIAGE_CASES
+                                        for shots in (1, 1000, 40000)
+                                        if shots < 40000 or case not in SLOW_REFERENCE])
 def test_run_trials_triage_matches_per_shot_loop(case, shots):
     """Same report, breakdown included, as the per-shot loop; 40 000 shots
-    span two batches of sim.BATCH."""
+    span two batches of sim.BATCH, and three of the 19,972 shots a batch
+    holds at 105 bits a pattern."""
     pc, kwargs, table = TRIAGE_CASES[case]()
     if table is None:
         max_cols = pc.t_src if kwargs.get("decode_mode") == "min_distance" else pc.t_c
