@@ -9,7 +9,7 @@ propagation, and Monte Carlo validation.
 from .gf2 import BitMatrix, GF2Error
 from .classical import ClassicalCode, GaloisField
 from .quantum import CssCode, PauliOp
-from .product import ErrorPattern, LookupTable, ProductCode, ProductSyndrome
+from .product import LookupTable, ProductCode, ProductSyndrome
 from .decoder import LocalizationResult
 from .circuit import PauliFrame, SyndromeCircuit
 from .sim import TrialConfig, TrialReport
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitMatrix", "GF2Error", "ClassicalCode", "GaloisField",
-    "CssCode", "PauliOp", "ErrorPattern", "LookupTable",
+    "CssCode", "PauliOp", "LookupTable",
     "ProductCode", "ProductSyndrome", "LocalizationResult",
     "PauliFrame", "SyndromeCircuit", "TrialConfig", "TrialReport",
     "__version__",

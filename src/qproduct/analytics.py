@@ -103,7 +103,7 @@ def format_table1() -> str:
     return "\n".join(lines)
 
 
-def choose_bch(L: int, p: float, q: CssCode, mode: str = "correct") -> ClassicalCode:
+def choose_bch(L: int, p: float, q: CssCode) -> ClassicalCode:
     """Smallest-t_C BCH of length L whose block tail fits the column budget.
 
     The budget is L times the per-column over-budget probability; t_C is
@@ -114,7 +114,7 @@ def choose_bch(L: int, p: float, q: CssCode, mode: str = "correct") -> Classical
     if m < 2 or (1 << m) - 1 != L:
         raise GF2Error(f"L={L} is not a BCH length 2^m - 1")
     check_probability("p", p)
-    budget = L * _column_tail(p, q.n, q.t, q.d, mode)
+    budget = L * binomial_tail(p, q.n, q.t)
     p_l = p_logical(p, q.n)
     for t_c in range(1, (L - 1) // 2 + 1):
         if binomial_tail(p_l, L, t_c) <= budget:

@@ -140,7 +140,7 @@ def cmd_product(args) -> int:
              "type": args.type, "max_cols": table.max_cols},
             [args.out],
         )
-        print(json.dumps({"entries": len(table.entries),
+        print(json.dumps({"entries": len(table.keys),
                           "key_bits": table.key_bits}))
         return 0
     info = {

@@ -211,14 +211,6 @@ def nullspace(m: BitMatrix) -> BitMatrix:
     return BitMatrix(data, m.cols)
 
 
-def vec(m: BitMatrix) -> BitMatrix:
-    """Column-stacking vectorization: entry (r, c) maps to index c*rows + r."""
-    acc = 0
-    for c, col in enumerate(m.transpose().row_data):
-        acc |= col << (c * m.rows)
-    return BitMatrix([acc], m.rows * m.cols)
-
-
 # -- text parity-check-matrix format --------------------------------------
 # First line "rows cols", then one line of '0'/'1' characters per row.
 

@@ -1,21 +1,20 @@
 """Kronecker product of a classical parity check with a CSS code.
 
-Builds the product parity check H_C (x) H_Q, extracts product syndromes
-Xi = H_Q eps H_C^T, classifies error patterns, enumerates normalizer
-generators, constructs the syndrome lookup table, and channel-encodes
-measured syndromes with a two-dimensional product code.
+Builds the product parity check H_C (x) H_Q and the map from each error
+bit to its packed syndrome key, counts and constructs the syndrome lookup
+table of the uniquely decodable class, reads and writes table files, and
+channel-encodes measured syndromes with a two-dimensional product code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2, quantum
+from . import gf2
 from .classical import ClassicalCode
 from .gf2 import BitMatrix, GF2Error
 from .quantum import CssCode
@@ -83,45 +82,11 @@ class ProductCode:
 
 
 @dataclass(frozen=True)
-class ErrorPattern:
-    """n_Q x L error pattern, one column per logical qubit."""
-
-    matrix: BitMatrix
-    error_type: str = "X"
-
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def L(self) -> int:
-        return self.matrix.cols
-
-    def column_weights(self) -> list[int]:
-        return self.matrix.transpose().row_weights()
-
-    def packed(self) -> int:
-        """vec() packing: bit L*n_q + q holds entry (q, L)."""
-        return gf2.vec(self.matrix).row_data[0]
-
-
-@dataclass(frozen=True)
 class ProductSyndrome:
-    """Xi = H_Q eps H_C^T plus its packed key vec(Xi^T).
-
-    The key is stabilizer-major: bits [i*R, (i+1)*R) hold row i
-    of Xi, i.e. the classical syndrome measured against stabilizer i.
-    """
+    """Xi = H_Q eps H_C^T: row i is the classical syndrome measured against
+    stabilizer i of H_Q, one bit per row of H_C."""
 
     matrix: BitMatrix  # stabilizer rows x R
-
-    @property
-    def key(self) -> int:
-        r = self.matrix.cols
-        acc = 0
-        for i, row in enumerate(self.matrix.row_data):
-            acc |= row << (i * r)
-        return acc
 
 
 def product_parity_check(pc: ProductCode, error_type: str = "X") -> BitMatrix:
@@ -144,60 +109,6 @@ def class_map(q: CssCode, error_type: str, L: int) -> list[int]:
     L columns: two n x L corrections are stabilizer-equivalent column by
     column iff ``gf2.xor_bits`` of this over their difference is 0."""
     return key_map(q.class_check(error_type), BitMatrix.identity(L))
-
-
-def extract_syndrome(pc: ProductCode, e: ErrorPattern) -> ProductSyndrome:
-    """Xi = H_Q eps H_C^T; equals the reshaped (H_C (x) H_Q) vec(eps)."""
-    if (e.n, e.L) != (pc.q.n, pc.L):
-        raise GF2Error(
-            f"pattern shape {e.n}x{e.L} does not match product {pc.q.n}x{pc.L}"
-        )
-    hq = pc.q.check_matrix(e.error_type)
-    xi = gf2.mul(gf2.mul(hq, e.matrix), pc.h_c.transpose())
-    return ProductSyndrome(xi)
-
-
-def in_class_E(pc: ProductCode, e: ErrorPattern) -> bool:
-    """Uniquely decodable class: per-column weight <= t_Q, <= t_C columns hit."""
-    weights = e.column_weights()
-    return (max(weights, default=0) <= pc.t_q
-            and sum(1 for w in weights if w) <= pc.t_c)
-
-
-def in_class_D(pc: ProductCode, e: ErrorPattern) -> bool:
-    """Detectable/localizable class: per-column weight < d_Q, <= t_C columns."""
-    weights = e.column_weights()
-    return (max(weights, default=0) < pc.q.d
-            and sum(1 for w in weights if w) <= pc.t_c)
-
-
-def normalizer_generators(pc: ProductCode, error_type: str = "X") -> list[ErrorPattern]:
-    """Column generators e_l (x) eta and row generators g (x) E_q.
-
-    eta ranges over the quantum code's same-type stabilizers and logical
-    operators; g over a basis of the classical code ker(H_C); E_q over
-    single-qubit errors.  Every generator has zero product syndrome.
-    """
-    q = pc.q
-    etas = [op.x if error_type == "X" else op.z
-            for op in quantum.normalizer_generators(q, error_type)]
-    gens = []
-    for ell in range(pc.L):
-        for eta in etas:
-            cols = [0] * pc.L
-            cols[ell] = eta
-            gens.append(_pattern_from_columns(cols, q.n, error_type))
-    codeword_basis = gf2.nullspace(pc.h_c)
-    for m in range(codeword_basis.rows):
-        g = codeword_basis.row_data[m]
-        for qi in range(q.n):
-            cols = [(1 << qi) if (g >> ell) & 1 else 0 for ell in range(pc.L)]
-            gens.append(_pattern_from_columns(cols, q.n, error_type))
-    return gens
-
-
-def _pattern_from_columns(cols: list[int], n: int, error_type: str) -> ErrorPattern:
-    return ErrorPattern(BitMatrix(cols, n).transpose(), error_type)
 
 
 def _column_patterns(n: int, t_q: int) -> list[int]:
@@ -245,9 +156,10 @@ class LookupTable:
     """Product syndrome key -> packed correction pattern, as sorted words:
     the one representation of built and loaded tables.
 
-    Row i of the read-only ``keys`` holds a key (ProductSyndrome.key) as
-    ``as_words`` words, in strictly ascending order; row i of ``fixes`` its
-    correction (ErrorPattern.packed()).  ``entries`` reads them as a mapping.
+    Row i of the read-only ``keys`` holds a packed syndrome key (the XOR of
+    ``key_map`` entries) as ``as_words`` words, in strictly ascending order;
+    row i of ``fixes`` its correction, with bit l*n + q for qubit q of
+    column l.
     """
 
     pc: ProductCode
@@ -261,8 +173,9 @@ class LookupTable:
         self.keys.flags.writeable = self.fixes.flags.writeable = False
 
     @property
-    def entries(self) -> TableEntries:
-        return TableEntries(self)
+    def entries(self) -> np.ndarray:
+        """``keys``, kept only for perfbench's ``len(table.entries)``."""
+        return self.keys
 
     def rows(self, words: np.ndarray) -> np.ndarray:
         """Row of each query key (as words) in ``keys`` by binary search, or -1."""
@@ -271,27 +184,6 @@ class LookupTable:
             return np.full(len(want), -1)
         at = np.searchsorted(stored, want)
         return np.where(stored.take(at, mode="clip") == want, at, -1)
-
-
-class TableEntries(Mapping):
-    """Read-only {key: correction} view of a LookupTable, in key order: its
-    length costs nothing, and ints are made only for what is read."""
-
-    def __init__(self, table: LookupTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table.keys)
-
-    def __iter__(self):
-        return iter(from_words(self._table.keys))
-
-    def __getitem__(self, key: int) -> int:
-        t = self._table
-        row = t.rows(as_words([key], t.keys.shape[1]))[0] if 0 <= key < 1 << t.key_bits else -1
-        if row < 0:
-            raise KeyError(key)
-        return from_words(t.fixes[[row]])[0]
 
 
 def build_lookup_table(pc: ProductCode, error_type: str = "X",

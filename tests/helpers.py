@@ -1,18 +1,21 @@
 """Test-side conversions and brute-force references shared by the test modules.
 
 Nothing in the package calls these; they build inputs and read results in
-the forms the tests compare against (lists, numpy arrays, supports).
+the forms the tests compare against (lists, numpy arrays, supports, dicts),
+and hold the slow reference layouts (``ErrorPattern``, ``extract_syndrome``,
+``normalizer_generators``) the package's packed paths are checked against.
 """
 
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from qproduct import decoder, gf2
+from qproduct import decoder, gf2, quantum
 from qproduct.classical import ClassicalCode
 from qproduct.gf2 import BitMatrix, GF2Error
-from qproduct.product import (ErrorPattern, LookupTable, ProductCode, ProductSyndrome, as_words,
-                              extract_syndrome, from_words, n_words)
+from qproduct.product import (LookupTable, ProductCode, ProductSyndrome, as_words, from_words,
+                              n_words)
 from qproduct.quantum import CssCode, PauliOp
 
 
@@ -46,8 +49,16 @@ def row_bits(m: BitMatrix, i: int) -> list[int]:
     return int_to_bits(m.row_data[i], m.cols)
 
 
+def vec(m: BitMatrix) -> BitMatrix:
+    """Column-stacking vectorization: entry (r, c) maps to index c*rows + r."""
+    acc = 0
+    for c, col in enumerate(m.transpose().row_data):
+        acc |= col << (c * m.rows)
+    return BitMatrix([acc], m.rows * m.cols)
+
+
 def unvec(v: BitMatrix, rows: int, cols: int) -> BitMatrix:
-    """The inverse of gf2.vec."""
+    """The inverse of vec."""
     if v.rows != 1 or v.cols != rows * cols:
         raise GF2Error(
             f"unvec length mismatch: {v.rows}x{v.cols} vs {rows}*{cols}"
@@ -128,6 +139,79 @@ def count_class_evaluations(monkeypatch, module) -> dict[str, int]:
     return counts
 
 
+@dataclass(frozen=True)
+class ErrorPattern:
+    """n_Q x L error pattern, one column per logical qubit."""
+
+    matrix: BitMatrix
+    error_type: str = "X"
+
+    @property
+    def n(self) -> int:
+        return self.matrix.rows
+
+    @property
+    def L(self) -> int:
+        return self.matrix.cols
+
+    def column_weights(self) -> list[int]:
+        return self.matrix.transpose().row_weights()
+
+    def packed(self) -> int:
+        """vec() packing: bit L*n_q + q holds entry (q, L)."""
+        return vec(self.matrix).row_data[0]
+
+
+def extract_syndrome(pc: ProductCode, e: ErrorPattern) -> ProductSyndrome:
+    """Xi = H_Q eps H_C^T; equals the reshaped (H_C (x) H_Q) vec(eps)."""
+    if (e.n, e.L) != (pc.q.n, pc.L):
+        raise GF2Error(
+            f"pattern shape {e.n}x{e.L} does not match product {pc.q.n}x{pc.L}"
+        )
+    hq = pc.q.check_matrix(e.error_type)
+    xi = gf2.mul(gf2.mul(hq, e.matrix), pc.h_c.transpose())
+    return ProductSyndrome(xi)
+
+
+def syndrome_key(xi: ProductSyndrome) -> int:
+    """The packed key vec(Xi^T) of a syndrome, stabilizer-major: bits
+    [i*R, (i+1)*R) hold row i of Xi, as in ``product.key_map``."""
+    r = xi.matrix.cols
+    acc = 0
+    for i, row in enumerate(xi.matrix.row_data):
+        acc |= row << (i * r)
+    return acc
+
+
+def normalizer_generators(pc: ProductCode, error_type: str = "X") -> list[ErrorPattern]:
+    """Column generators e_l (x) eta and row generators g (x) E_q.
+
+    eta ranges over the quantum code's same-type stabilizers and logical
+    operators; g over a basis of the classical code ker(H_C); E_q over
+    single-qubit errors.  Every generator has zero product syndrome.
+    """
+    q = pc.q
+    etas = [op.x if error_type == "X" else op.z
+            for op in quantum.normalizer_generators(q, error_type)]
+    gens = []
+    for ell in range(pc.L):
+        for eta in etas:
+            cols = [0] * pc.L
+            cols[ell] = eta
+            gens.append(pattern_from_columns(cols, q.n, error_type))
+    codeword_basis = gf2.nullspace(pc.h_c)
+    for m in range(codeword_basis.rows):
+        g = codeword_basis.row_data[m]
+        for qi in range(q.n):
+            cols = [(1 << qi) if (g >> ell) & 1 else 0 for ell in range(pc.L)]
+            gens.append(pattern_from_columns(cols, q.n, error_type))
+    return gens
+
+
+def pattern_from_columns(cols: list[int], n: int, error_type: str) -> ErrorPattern:
+    return ErrorPattern(BitMatrix(cols, n).transpose(), error_type)
+
+
 def pattern_from_packed(value: int, n: int, L: int, error_type: str = "X") -> ErrorPattern:
     """The inverse of ErrorPattern.packed()."""
     return ErrorPattern(unvec(BitMatrix([value], n * L), n, L), error_type)
@@ -139,7 +223,7 @@ def is_normalizer_element(pc: ProductCode, e: ErrorPattern) -> bool:
 
 
 def syndrome_from_key(key: int, stab_rows: int, r: int) -> ProductSyndrome:
-    """The inverse of ProductSyndrome.key."""
+    """The inverse of syndrome_key."""
     mask = (1 << r) - 1
     return ProductSyndrome(BitMatrix([(key >> (i * r)) & mask for i in range(stab_rows)], r))
 
@@ -161,6 +245,11 @@ def table_from_entries(pc: ProductCode, error_type: str, key_bits: int,
     width = max(pc.N, max(fixes, default=0).bit_length())
     return LookupTable(pc, error_type, key_bits, max_cols, as_words(keys, n_words(key_bits)),
                        as_words(fixes, n_words(width)))
+
+
+def entries(table: LookupTable) -> dict[int, int]:
+    """A table's {key: correction} dict, in key order."""
+    return dict(zip(from_words(table.keys), from_words(table.fixes)))
 
 
 def brute_nearest(entries, keys, radius: int) -> list[tuple[str, int, int]]:

@@ -15,9 +15,10 @@ from qproduct import (analytics, circuit, classical, decoder, gf2, product,
                       quantum, sim)
 from qproduct.circuit import PauliFrame
 from qproduct.gf2 import BitMatrix
-from qproduct.product import ErrorPattern, ProductCode, ProductSyndrome
+from qproduct.product import ProductCode, ProductSyndrome
 
-from helpers import encode, nearest, table_from_entries
+from helpers import (encode, entries, extract_syndrome, nearest, normalizer_generators,
+                     pattern_from_columns, table_from_entries, vec)
 
 
 def report(num: int, description: str, ok: bool) -> None:
@@ -92,15 +93,15 @@ def test_criterion_04_exhaustive_table_construction():
     desk_table = product.build_lookup_table(desk)
     steane_pc = ProductCode(classical.bch(4, 3), quantum.steane(), t_c=2)
     steane_table = product.build_lookup_table(steane_pc)
-    counts_ok = (len(desk_table.entries) - 1 == 12
-                 and len(steane_table.entries) == product.class_E_size(steane_pc)
+    counts_ok = (len(desk_table.keys) - 1 == 12
+                 and len(steane_table.keys) == product.class_E_size(steane_pc)
                  == 5251)
     # adding any nonzero normalizer generator pushes every pattern out of
     # the uniquely decodable class, so stored corrections are coset leaders
     leaders_ok = True
     for pc, table in ((desk, desk_table), (steane_pc, steane_table)):
-        gens = [g.packed() for g in product.normalizer_generators(pc, "X")]
-        for e in table.entries.values():
+        gens = [g.packed() for g in normalizer_generators(pc, "X")]
+        for e in entries(table).values():
             for g in gens:
                 if g and _fast_in_E(e ^ g, pc):
                     leaders_ok = False
@@ -138,12 +139,12 @@ def test_criterion_06_noisy_syndrome_sweep():
     flips = [1 << i for i in range(bits)]
     flips += [(1 << i) | (1 << j)
               for i, j in itertools.combinations(range(bits), 2)]
-    for key, value in table.entries.items():
+    for key, value in entries(table).items():
         answers = nearest(table, [key ^ f for f in flips], pc.t_c - pc.t_src)
         total += len(flips)
         bad += sum(status != "ok" or fix != value for status, _, fix in answers)
     elapsed = time.perf_counter() - start
-    report(6, f"all {total} <=2-bit key corruptions over {len(table.entries)} "
+    report(6, f"all {total} <=2-bit key corruptions over {len(table.keys)} "
               f"keys decode to the original entry ({elapsed:.1f}s)",
            bad == 0 and elapsed < 300.0)
 
@@ -153,8 +154,8 @@ def test_criterion_07_localization():
     pc = ProductCode(classical.bch(4, 3), quantum.steane())
     cols = [0] * pc.L
     cols[4], cols[9], cols[14] = 0b10, 0b100001, 0b1001
-    e = product._pattern_from_columns(cols, 7, "X")
-    res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
+    e = pattern_from_columns(cols, 7, "X")
+    res = decoder.localize_bm(pc, extract_syndrome(pc, e))
     rows_ok = (res.logical_indices == frozenset({4, 9, 14})
                and res.per_row_supports == (frozenset(), frozenset({4, 14}),
                                             frozenset({9, 14})))
@@ -168,8 +169,8 @@ def test_criterion_07_localization():
         for qubit in range(3):
             cols = [0] * ppc.L
             cols[ell] = 1 << qubit
-            src = product._pattern_from_columns(cols, 7, "X")
-            clean = product.extract_syndrome(ppc, src).matrix
+            src = pattern_from_columns(cols, 7, "X")
+            clean = extract_syndrome(ppc, src).matrix
             expect = frozenset(
                 j for j in range(ppc.L)
                 if gf2.mul(ppc.q.hz, src.matrix).get(0, j)
@@ -311,8 +312,8 @@ def test_criterion_11_oracle_suites():
         hq = BitMatrix([rng.randrange(1 << nq)
                         for _ in range(rng.randint(1, 5))], nq)
         eps = BitMatrix([rng.randrange(1 << lq) for _ in range(nq)], lq)
-        lhs = gf2.mul(gf2.kron(hc, hq), gf2.vec(eps).transpose()).transpose()
-        rhs = gf2.vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
+        lhs = gf2.mul(gf2.kron(hc, hq), vec(eps).transpose()).transpose()
+        rhs = vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
         if lhs != rhs:
             vec_ok = False
     report(11, f"oracles: BM={bm_ok}, nearest-key={nk_ok}, "

@@ -7,7 +7,7 @@ import pytest
 from qproduct import circuit, classical, gf2, product, quantum
 from qproduct.circuit import PauliFrame, SyndromeCircuit
 from qproduct.gf2 import BitMatrix, GF2Error
-from qproduct.product import ErrorPattern, ProductCode
+from qproduct.product import ProductCode
 
 from helpers import to_lists, verification_matrix
 

@@ -7,7 +7,7 @@ import pytest
 from qproduct import cli, classical, gf2, product, quantum
 from qproduct.gf2 import GF2Error
 
-from helpers import pattern_from_packed
+from helpers import extract_syndrome, pattern_from_columns, pattern_from_packed, syndrome_key
 
 
 def run(capsys, *argv):
@@ -112,7 +112,7 @@ def test_product_build_decode_roundtrip(capsys, tmp_path):
     # syndrome of an X error on qubit 2, stabilizer-major bit order
     pc = product.ProductCode(classical.hamming(3), quantum.rep3(), hc_mode="pt")
     e = pattern_from_packed(1 << 1, 3, 4)
-    syndrome = gf2.int_to_bitstring(product.extract_syndrome(pc, e).key, 6)
+    syndrome = gf2.int_to_bitstring(syndrome_key(extract_syndrome(pc, e)), 6)
     code, out, _ = run(capsys, "decode", "--table", table_path,
                        "--c", "hamming3pt", "--q", "rep3",
                        "--syndrome", syndrome)
@@ -129,7 +129,7 @@ def test_decode_min_distance_flag(capsys, tmp_path):
     pc = product.ProductCode(classical.bch(4, 3), quantum.steane(),
                              hc_mode="pt", t_src=1)
     e = pattern_from_packed(1 << 0, 7, 5)
-    key = product.extract_syndrome(pc, e).key ^ 0b11  # two flipped bits
+    key = syndrome_key(extract_syndrome(pc, e)) ^ 0b11  # two flipped bits
     code, out, _ = run(capsys, "decode", "--table", table_path,
                        "--c", "bch:15:3pt", "--q", "steane", "--tsrc", "1",
                        "--syndrome", gf2.int_to_bitstring(key, 30),
@@ -155,8 +155,8 @@ def test_localize_rows_command(capsys, tmp_path):
     pc = product.ProductCode(classical.bch(4, 3), quantum.steane())
     cols = [0] * pc.L
     cols[4], cols[9], cols[14] = 1, 1, 1
-    e = product._pattern_from_columns(cols, 7, "X")
-    xi = product.extract_syndrome(pc, e)
+    e = pattern_from_columns(cols, 7, "X")
+    xi = extract_syndrome(pc, e)
     xi_path = tmp_path / "xi.txt"
     xi_path.write_text(gf2.to_text(xi.matrix))
     code, out, _ = run(capsys, "localize", "--c", "bch:15:3", "--q", "steane",
@@ -172,7 +172,7 @@ def test_localize_reads_rows_wider_than_64_bits(capsys, tmp_path):
     pc = product.ProductCode(classical.bch(10, 11), quantum.color17(), hc_mode="pt")
     cols = [0] * pc.L
     cols[0], cols[912] = 1 << 0, 1 << 4  # X1 in column 0, X5 in column 912
-    xi = product.extract_syndrome(pc, product._pattern_from_columns(cols, 17, "X")).matrix
+    xi = extract_syndrome(pc, pattern_from_columns(cols, 17, "X")).matrix
     assert xi.cols == 110
     rows = list(xi.row_data)
     rows[1] ^= (1 << 62) | (1 << 63) | (1 << 64) | (1 << 109)

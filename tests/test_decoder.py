@@ -11,7 +11,8 @@ from qproduct.decoder import LocalizationError, LocalizationResult
 from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ProductCode, ProductSyndrome
 
-from helpers import (brute_nearest, nearest, pattern_from_packed, syndrome, table_from_entries,
+from helpers import (brute_nearest, entries, extract_syndrome, nearest, pattern_from_columns,
+                     pattern_from_packed, syndrome, syndrome_key, table_from_entries,
                      vector_from_support)
 
 
@@ -67,7 +68,7 @@ def test_nearest_key_wide_keys_match_brute_force(key_bits):
               for k in rng.sample(keys, 100)]
     probes += [rng.getrandbits(key_bits) for _ in range(20)] + [keys[0] ^ keys[1]]
     for radius in (1, 3, key_bits // 2):
-        assert nearest(table, probes, radius) == brute_nearest(table.entries, probes, radius)
+        assert nearest(table, probes, radius) == brute_nearest(entries(table), probes, radius)
 
 
 def test_nearest_key_paper_scale_keys_match_brute_force():
@@ -79,9 +80,9 @@ def test_nearest_key_paper_scale_keys_match_brute_force():
     radius = pc.t_c - pc.t_src
     rng = random.Random(336)
     probes = [k ^ sum(1 << i for i in rng.sample(range(336), rng.randint(0, radius + 1)))
-              for k in rng.sample(sorted(table.entries), 40)]
+              for k in rng.sample(sorted(entries(table)), 40)]
     got = nearest(table, probes, radius)
-    assert got == brute_nearest(table.entries, probes, radius)
+    assert got == brute_nearest(entries(table), probes, radius)
     assert {status for status, _, _ in got} >= {"ok"}
 
 
@@ -94,7 +95,7 @@ def test_nearest_key_batch_straddles_the_block_cap():
     per_block = decoder.BLOCK_ELEMENTS // len(keys)
     probes = [rng.randrange(1 << 20) for _ in range(2 * per_block + 7)]
     probes += [k ^ 1 for k in keys[:50]]
-    assert nearest(table, probes, 3) == brute_nearest(table.entries, probes, 3)
+    assert nearest(table, probes, 3) == brute_nearest(entries(table), probes, 3)
 
 
 # -- exact and nearest-key decoding ------------------------------------------
@@ -107,9 +108,10 @@ def desk_table():
 def test_lookup_decode_roundtrip_and_miss():
     pc, table = desk_table()
     e = pattern(pc, 1 << 1)
-    key = product.extract_syndrome(pc, e).key
+    key = syndrome_key(extract_syndrome(pc, e))
     assert nearest(table, [key], 0) == [("ok", 0, e.packed())]
-    absent = next(k for k in range(1 << 6) if k not in table.entries)
+    stored = entries(table)
+    absent = next(k for k in range(1 << 6) if k not in stored)
     assert nearest(table, [absent], 0) == [("not_found", -1, -1)]
 
 
@@ -121,17 +123,18 @@ def noisy_table():
 
 def test_min_distance_decode_exact_and_corrupted():
     pc, table = noisy_table()
-    assert len(table.entries) == 36
-    keys = sorted(table.entries)
+    assert len(table.keys) == 36
+    stored = entries(table)
+    keys = sorted(stored)
     bits = table.key_bits
     radius = pc.t_c - pc.t_src
-    assert nearest(table, keys, radius) == [("ok", 0, table.entries[key]) for key in keys]
+    assert nearest(table, keys, radius) == [("ok", 0, stored[key]) for key in keys]
     # every 1-bit and a stride of 2-bit corruptions return the true key's correction
     for key in keys[::5]:
         ones = nearest(table, [key ^ (1 << i) for i in range(bits)], radius)
-        assert ones == [("ok", 1, table.entries[key])] * bits
+        assert ones == [("ok", 1, stored[key])] * bits
         twos = [key ^ (1 << i) ^ (1 << j) for i, j in itertools.combinations(range(bits), 2)]
-        assert nearest(table, twos, radius) == [("ok", 2, table.entries[key])] * len(twos)
+        assert nearest(table, twos, radius) == [("ok", 2, stored[key])] * len(twos)
 
 
 def test_min_distance_decode_not_found():
@@ -151,7 +154,7 @@ def test_min_distance_decode_ambiguous_tie():
 def test_min_distance_default_radius_is_corruption_budget():
     pc, table = noisy_table()
     assert pc.t_c - pc.t_src == 2
-    key = sorted(table.entries)[1]
+    key = sorted(entries(table))[1]
     flips = [0, 1, 2]
     corrupted = key
     for i in flips:
@@ -162,7 +165,7 @@ def test_min_distance_default_radius_is_corruption_budget():
 
 
 def assert_nearest_matches_brute(table, keys, radius):
-    assert nearest(table, keys, radius) == brute_nearest(table.entries, keys, radius)
+    assert nearest(table, keys, radius) == brute_nearest(entries(table), keys, radius)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
@@ -180,7 +183,7 @@ def test_nearest_key_near_every_stored_key():
     radius = pc.t_c - pc.t_src
     masks = [sum(1 << i for i in flips) for w in range(radius + 2)
              for flips in itertools.combinations(range(table.key_bits), w)]
-    keys = sorted({k ^ m for k in table.entries for m in masks})
+    keys = sorted({k ^ m for k in entries(table) for m in masks})
     assert_nearest_matches_brute(table, keys, radius)
 
 
@@ -193,7 +196,7 @@ def test_nearest_key_radius_zero_searches_the_sorted_keys(monkeypatch):
     assert set(vars(table)) == {"pc", "error_type", "key_bits", "max_cols", "keys", "fixes"}
     assert table.keys.shape == (36, 1) and table.fixes.shape == (36, 1)
     stored = table.keys[:, 0].tolist()
-    assert stored == sorted(set(stored)) == list(table.entries)
+    assert stored == sorted(set(stored)) == list(entries(table))
     key = stored[3]
     hit = ("ok", 0, table.fixes[3, 0].item())
     searches = []
@@ -241,16 +244,16 @@ def test_loaded_table_decodes_as_the_built_one(tmp_path, case):
     assert np.array_equal(built.keys, loaded.keys) and np.array_equal(built.fixes, loaded.fixes)
     assert (loaded.key_bits, loaded.max_cols, loaded.error_type) == (
         built.key_bits, built.max_cols, built.error_type)
-    stored = list(built.entries)
+    fixes = entries(built)
+    stored = list(fixes)
     masks = [sum(1 << i for i in flips) for w in (1, 2)
              for flips in itertools.combinations(range(built.key_bits), w)]
     corrupted = random.Random(case).sample(stored, sampled) if sampled else stored
     keys = stored + [k ^ m for k in corrupted for m in masks]
-    entries = dict(built.entries.items())
-    assert len(entries) == len(stored) == len(built.keys)
+    assert len(fixes) == len(stored) == len(built.keys)
     for radius in (0, pc.t_c - pc.t_src):
         assert nearest(built, keys, radius) == nearest(loaded, keys, radius)
-    assert nearest(loaded, keys, 0) == dict_exact_lookup(entries, keys)
+    assert nearest(loaded, keys, 0) == dict_exact_lookup(fixes, keys)
 
 
 # -- localization -------------------------------------------------------------
@@ -269,8 +272,8 @@ def test_localize_rows_three_columns():
     pc = full_instance()
     cols = [0] * pc.L
     cols[4], cols[9], cols[14] = 0b1, 0b11, 0b10  # weights 1, 2, 1 < d_Q
-    e = product._pattern_from_columns(cols, 7, "X")
-    xi = product.extract_syndrome(pc, e)
+    e = pattern_from_columns(cols, 7, "X")
+    xi = extract_syndrome(pc, e)
     res = decoder.localize_bm(pc, xi)
     assert res.logical_indices == frozenset({4, 9, 14})
     assert res.confidence == "exact"
@@ -288,8 +291,8 @@ def test_localize_rows_exhaustive_single_column():
                 continue
             cols = [0] * pc.L
             cols[ell] = col
-            e = product._pattern_from_columns(cols, 7, "X")
-            res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
+            e = pattern_from_columns(cols, 7, "X")
+            res = decoder.localize_bm(pc, extract_syndrome(pc, e))
             assert res.logical_indices <= frozenset({ell})
 
 
@@ -297,9 +300,9 @@ def test_localize_rows_weight_guard():
     pc = ProductCode(classical.bch(4, 3), quantum.steane(), t_c=1)
     cols = [0] * pc.L
     cols[0] = cols[1] = 0b1  # two columns hit, t_c = 1
-    e = product._pattern_from_columns(cols, 7, "X")
+    e = pattern_from_columns(cols, 7, "X")
     with pytest.raises(LocalizationError, match="exceeds"):
-        decoder.localize_bm(pc, product.extract_syndrome(pc, e))
+        decoder.localize_bm(pc, extract_syndrome(pc, e))
 
 
 def test_localize_rows_uncovered_syndrome():
@@ -323,8 +326,8 @@ def test_localize_bm_full_mode():
     pc = full_instance()
     cols = [0] * pc.L
     cols[0], cols[14] = 0b100, 0b1
-    res = decoder.localize_bm(pc, product.extract_syndrome(
-        pc, product._pattern_from_columns(cols, 7, "X")))
+    res = decoder.localize_bm(pc, extract_syndrome(
+        pc, pattern_from_columns(cols, 7, "X")))
     assert res.logical_indices == frozenset({0, 14})
     assert res.syndrome_flips == (frozenset(),) * 3
 
@@ -334,8 +337,8 @@ def test_localize_rows_standard_array_path():
     pc = ProductCode(classical.hamming(3), quantum.rep3())
     cols = [0] * pc.L
     cols[3] = 0b1
-    e = product._pattern_from_columns(cols, 3, "X")
-    res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
+    e = pattern_from_columns(cols, 3, "X")
+    res = decoder.localize_bm(pc, extract_syndrome(pc, e))
     assert res.logical_indices == frozenset({3})
 
 
@@ -348,8 +351,8 @@ def test_localize_bm_clean_rows():
     pc = pt_instance()
     cols = [0] * pc.L
     cols[2] = 0b1
-    e = product._pattern_from_columns(cols, 7, "X")
-    res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
+    e = pattern_from_columns(cols, 7, "X")
+    res = decoder.localize_bm(pc, extract_syndrome(pc, e))
     assert res.logical_indices == frozenset({2})
     assert all(f == frozenset() for f in res.syndrome_flips)
 
@@ -360,8 +363,8 @@ def test_localize_bm_with_syndrome_flips():
     pc = pt_instance()
     cols = [0] * pc.L
     cols[2] = 0b1
-    e = product._pattern_from_columns(cols, 7, "X")
-    xi = product.extract_syndrome(pc, e)
+    e = pattern_from_columns(cols, 7, "X")
+    xi = extract_syndrome(pc, e)
     rows = list(xi.matrix.row_data)
     rows[0] ^= 0b101       # flip syndrome bits 0 and 2 of row 0
     rows[1] ^= 0b1000      # flip bit 3 of row 1
@@ -387,8 +390,8 @@ def test_localize_bm_standard_array_pt_mode(c, q):
                 continue
             cols = [0] * pc.L
             cols[ell] = col
-            e = product._pattern_from_columns(cols, n_q, "X")
-            res = decoder.localize_bm(pc, product.extract_syndrome(pc, e))
+            e = pattern_from_columns(cols, n_q, "X")
+            res = decoder.localize_bm(pc, extract_syndrome(pc, e))
             m = gf2.mul(stab, e.matrix)
             hit = [m.get(i, ell) for i in range(stab.rows)]
             assert res.per_row_supports == tuple(frozenset({ell} if h else ())
@@ -498,6 +501,21 @@ def test_localize_bm_matches_both_former_localizers(monkeypatch, c, q, mode, t_c
                 assert got[2] == no_flips
                 got, want = got[:2], want[:2]
             assert got == want, (i, value)
+
+
+def test_localize_bm_reads_a_syndrome_built_from_rows():
+    """perfbench's localize-paper passes ProductSyndrome(BitMatrix(rows, pc.R))
+    on bch(7,6)pt x color17: a nonzero Xi built so, with a flipped syndrome
+    bit in one row, localizes the columns hit and reports the flip."""
+    pc = ProductCode(classical.bch(7, 6), quantum.color17(), hc_mode="pt")
+    hit = {3, 40, 84}
+    cols = [0b101 if ell in hit else 0 for ell in range(pc.L)]
+    rows = list(extract_syndrome(pc, pattern_from_columns(cols, 17, "X")).matrix.row_data)
+    assert any(rows)
+    rows[0] ^= 1 << 5
+    res = decoder.localize_bm(pc, product.ProductSyndrome(gf2.BitMatrix(rows, pc.R)))
+    assert res.logical_indices == hit
+    assert res.syndrome_flips[0] == {5} and not any(res.syndrome_flips[1:])
 
 
 def test_localize_bm_builds_no_matrix_per_row(monkeypatch):

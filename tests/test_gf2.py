@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qproduct import classical, gf2, product
+from qproduct import classical, gf2
 from qproduct.gf2 import BitMatrix, GF2Error
 
-from helpers import (from_numpy, int_to_bits, row_bits, to_lists, to_numpy, unvec,
-                     vector_from_support)
+from helpers import (ErrorPattern, from_numpy, int_to_bits, pattern_from_columns, row_bits,
+                     to_lists, to_numpy, unvec, vec, vector_from_support)
 
 STEANE_H = [[1, 0, 0, 1, 0, 1, 1],
             [0, 1, 0, 1, 1, 0, 1],
@@ -140,13 +140,13 @@ def test_nullspace_hamming_weights():
 
 def test_vec_definition():
     m = BitMatrix.from_rows([[1, 0], [0, 1]])
-    assert row_bits(gf2.vec(m), 0) == [1, 0, 0, 1]
+    assert row_bits(vec(m), 0) == [1, 0, 0, 1]
 
 
 def test_unvec_roundtrip():
     rng = random.Random(3)
     m = BitMatrix.from_rows(random_matrix(rng, 7, 15))
-    assert unvec(gf2.vec(m), 7, 15) == m
+    assert unvec(vec(m), 7, 15) == m
 
 
 def test_vec_kron_identity_exhaustive_small():
@@ -163,7 +163,7 @@ def test_vec_kron_identity_exhaustive_small():
         v = BitMatrix([bits], cells)
         eps = unvec(v, hq.cols, hc.cols)
         lhs = gf2.mul(k, v.transpose()).transpose()
-        rhs = gf2.vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
+        rhs = vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
         assert lhs == rhs
 
 
@@ -174,8 +174,8 @@ def test_vec_kron_identity_random(seed):
     hc = BitMatrix.from_rows(random_matrix(rng, rng.randint(1, 5), lq))
     hq = BitMatrix.from_rows(random_matrix(rng, rng.randint(1, 5), nq))
     eps = BitMatrix.from_rows(random_matrix(rng, nq, lq))
-    lhs = gf2.mul(gf2.kron(hc, hq), gf2.vec(eps).transpose()).transpose()
-    rhs = gf2.vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
+    lhs = gf2.mul(gf2.kron(hc, hq), vec(eps).transpose()).transpose()
+    rhs = vec(gf2.mul(gf2.mul(hq, eps), hc.transpose()))
     assert lhs == rhs
 
 
@@ -234,23 +234,23 @@ def matrix_and_indices(draw):
 @example((BitMatrix([0b1, 0b0, 0b1], 0), [2, 0], []))
 def test_reshapes_match_per_bit_reference(case):
     """vec, unvec, submatrix, ErrorPattern.column and
-    _pattern_from_columns against the per-bit definitions they reproduce."""
+    pattern_from_columns against the per-bit definitions they reproduce."""
     m, row_idx, col_idx = case
     ref_vec = 0
     for c in range(m.cols):
         for r in range(m.rows):
             ref_vec |= m.get(r, c) << (c * m.rows + r)
-    assert gf2.vec(m) == BitMatrix([ref_vec], m.rows * m.cols)
+    assert vec(m) == BitMatrix([ref_vec], m.rows * m.cols)
     ref_unvec = [0] * m.rows
     for idx in range(m.rows * m.cols):
         ref_unvec[idx % m.rows] |= ((ref_vec >> idx) & 1) << (idx // m.rows)
-    assert unvec(gf2.vec(m), m.rows, m.cols) == BitMatrix(ref_unvec, m.cols) == m
+    assert unvec(vec(m), m.rows, m.cols) == BitMatrix(ref_unvec, m.cols) == m
     assert m.submatrix(row_idx, col_idx) == BitMatrix.from_rows(
         [[m.get(i, j) for j in col_idx] for i in row_idx], len(col_idx))
     ref_cols = [sum(m.get(i, j) << i for i in range(m.rows)) for j in range(m.cols)]
-    e = product.ErrorPattern(m)
+    e = ErrorPattern(m)
     assert list(e.matrix.transpose().row_data) == ref_cols
-    assert product._pattern_from_columns(ref_cols, m.rows, "X") == e
+    assert pattern_from_columns(ref_cols, m.rows, "X") == e
 
 
 def naive_xor_bits(values, packed):

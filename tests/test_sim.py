@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from qproduct import analytics, classical, decoder, product, quantum, sim
-from qproduct.gf2 import GF2Error
+from qproduct.gf2 import BitMatrix, GF2Error
 from qproduct.product import ProductCode
 from qproduct.sim import TrialConfig
 
-from helpers import (brute_nearest, count_class_evaluations, differs_by_stabilizers,
-                     pattern_from_packed, stabilizer_span, table_from_entries, to_numpy)
+from helpers import (brute_nearest, count_class_evaluations, differs_by_stabilizers, entries,
+                     extract_syndrome, pattern_from_packed, stabilizer_span, syndrome_key,
+                     table_from_entries, to_numpy)
 
 
 def desk_instance():
@@ -93,14 +94,14 @@ def test_key_tables_match_extract_syndrome():
         for bit in range(pc.N):
             e = pattern_from_packed(1 << bit, pc.q.n, pc.L)
             (key,) = product.from_words(tables[bit // 8, [1 << (bit % 8)]])
-            assert key == product.extract_syndrome(pc, e).key
+            assert key == syndrome_key(extract_syndrome(pc, e))
         for _ in range(50):
             packed = rng.getrandbits(pc.N)
             e = pattern_from_packed(packed, pc.q.n, pc.L)
             key = np.zeros(w, dtype=np.uint64)
             for j, table in enumerate(tables):
                 key ^= table[(packed >> (8 * j)) & 255]
-            assert product.from_words(key[None]) == [product.extract_syndrome(pc, e).key]
+            assert product.from_words(key[None]) == [syndrome_key(extract_syndrome(pc, e))]
 
 
 def python_ints(bits):
@@ -212,7 +213,7 @@ def test_run_trials_stabilizer_shifted_table_hits_are_degenerate(monkeypatch, mo
     table = product.build_lookup_table(pc)
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
     table = table_from_entries(pc, "X", table.key_bits,
-                               {k: v ^ shift for k, v in table.entries.items()}, table.max_cols)
+                               {k: v ^ shift for k, v in entries(table).items()}, table.max_cols)
     counts = count_class_evaluations(monkeypatch, sim)
     rep = sim.run_trials(TrialConfig(pc=pc, p=0.02, shots=2000, seed=3,
                                      decode_mode=mode), table)
@@ -260,10 +261,10 @@ def reference_run_trials(cfg, table):
     key_mat = _key_matrix(hq, hc)
     span = stabilizer_span(pc.q, cfg.error_type)
     lookup = cfg.decode_mode == "lookup"
-    entries = table.entries
-    skip_zero = lookup and entries.get(0) == 0
+    fixes = entries(table)
+    skip_zero = lookup and fixes.get(0) == 0
     radius = pc.t_c - pc.t_src
-    nearest = functools.cache(lambda key: brute_nearest(entries, [key], radius)[0])
+    nearest = functools.cache(lambda key: brute_nearest(fixes, [key], radius)[0])
     noise_probs = sim._noise_probs(hq, hc, cfg.p_e) if cfg.syndrome_noise else None
     # BATCH shots a draw while patterns and keys fit one word, fewer past it
     width = max(n * L, table.key_bits)
@@ -295,7 +296,7 @@ def reference_run_trials(cfg, table):
                 continue
             cause = "decode_errors"
             if lookup:
-                stored = entries.get(key)
+                stored = fixes.get(key)
             else:
                 flip = flips[shot] if cfg.syndrome_noise else 0
                 if cfg.syndrome_noise and not (in_budget[shot]
@@ -329,7 +330,7 @@ def _shifted_table():
     table = product.build_lookup_table(pc)
     shift = pc.q.hx.row_data[0] << ((pc.L - 1) * pc.q.n)
     return table_from_entries(pc, "X", table.key_bits,
-                              {k: v ^ shift for k, v in table.entries.items()}, table.max_cols)
+                              {k: v ^ shift for k, v in entries(table).items()}, table.max_cols)
 
 
 def _desk_t_c_3_case():
@@ -422,16 +423,16 @@ def test_run_trials_triage_matches_per_shot_loop(case, shots):
 
 
 def test_min_distance_cost_does_not_grow_with_shots(monkeypatch):
-    """Per-shot work stays packed: no ErrorPattern is built, one nearest_key
-    call decodes a whole batch, and ProductCode derived matrices are read a
-    fixed number of times per call."""
+    """Per-shot work stays packed: the BitMatrix count does not grow with the
+    shots, one nearest_key call decodes a whole batch, and ProductCode
+    derived matrices are read a fixed number of times per call."""
     pc = bch_steane()
     table = product.build_lookup_table(pc, max_cols=pc.t_src)
-    counts = {"patterns": 0, "nearest_key": 0, "h_c": 0}
-    init, nearest_key, h_c = product.ErrorPattern.__init__, decoder.nearest_key, ProductCode.h_c.fget
+    counts = {"matrices": 0, "nearest_key": 0, "h_c": 0}
+    init, nearest_key, h_c = BitMatrix.__init__, decoder.nearest_key, ProductCode.h_c.fget
 
     def counting_init(self, *args, **kwargs):
-        counts["patterns"] += 1
+        counts["matrices"] += 1
         init(self, *args, **kwargs)
 
     def counting_nearest_key(*args):
@@ -442,16 +443,15 @@ def test_min_distance_cost_does_not_grow_with_shots(monkeypatch):
         counts["h_c"] += 1
         return h_c(self)
 
-    monkeypatch.setattr(product.ErrorPattern, "__init__", counting_init)
+    monkeypatch.setattr(BitMatrix, "__init__", counting_init)
     monkeypatch.setattr(decoder, "nearest_key", counting_nearest_key)
     monkeypatch.setattr(ProductCode, "h_c", property(counting_h_c))
     seen = []
     for shots in (2000, 20000):
-        counts.update(patterns=0, nearest_key=0, h_c=0)
+        counts.update(matrices=0, nearest_key=0, h_c=0)
         sim.run_trials(TrialConfig(pc=pc, p=1e-3, shots=shots, seed=5,
                                    decode_mode="min_distance", syndrome_noise=True,
                                    p_e=1e-3), table)
-        assert counts["patterns"] == 0
         seen.append(dict(counts))
     # one call for the all-zero outcome and one for the single batch
     assert seen[0] == seen[1] and seen[0]["nearest_key"] == 2

@@ -5,10 +5,11 @@ named by an AST ``Name`` or ``Attribute`` node somewhere in the package
 outside its own definition.  Code that only its tests call either moves
 to ``tests/helpers.py`` or waits in ALLOWED with the reason it stays.
 A module-level ``f`` of module ``m`` is matched by module: ``m.f``, or a
-bare ``f`` inside ``m`` or imported from ``m``.  A method is matched by
-identifier, since the type of its receiver is not known, so a dead method
-that shares its name with a live one goes unseen; a live one is never
-reported.
+bare ``f`` inside ``m`` or imported from ``m``.  A method is matched by the
+identifier of an ``Attribute`` node, since the type of its receiver is not
+known, so a dead method that shares its name with a live one goes unseen; a
+live one is never reported.  A bare name, such as a local variable, never
+counts for a method.
 """
 
 import ast
@@ -28,10 +29,7 @@ ALLOWED = {
     "circuit.data_frame": "ROADMAP item 6: residual data error of a fault",
     "product.channel_encode": "ROADMAP item 8: the coded syndrome block",
     "product.channel_block": "ROADMAP item 8: the coded syndrome block",
-    "product.extract_syndrome": "reference layout tests compare against",
-    "product.in_class_E": "reference layout tests compare against",
-    "product.in_class_D": "ROADMAP item 4: localize-mode class",
-    "product.normalizer_generators": "reference for acceptance criterion 4's coset-leader check",
+    "product.LookupTable.entries": "perfbench reads len(table.entries); ROADMAP item 1A",
 }
 
 
@@ -49,14 +47,13 @@ def _imports(tree) -> dict:
 
 
 def _refs(node, module: str, bound: dict) -> collections.Counter:
-    """References under node, counted by identifier (for methods) and by
-    (module, name) (for module-level definitions): a bare ``f`` is
+    """References under node, counted by attribute identifier (for methods)
+    and by (module, name) (for module-level definitions): a bare ``f`` is
     ``module.f`` unless imported, and ``m.f`` on an imported module ``m``
     is ``m.f``."""
     counts = collections.Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            counts[sub.id] += 1
             counts[bound.get(sub.id, (module, sub.id))] += 1
         elif isinstance(sub, ast.Attribute):
             counts[sub.attr] += 1
@@ -107,6 +104,15 @@ def test_guard_sees_a_self_recursive_definition_as_uncalled(tmp_path):
         "def lonely(n):\n    return lonely(n - 1) if n else used()\n\n\n"
         "class Box:\n    def get(self):\n        return self.get\n")
     assert uncalled(tmp_path) == {"mod.lonely", "mod.Box", "mod.Box.get"}
+
+
+def test_guard_does_not_count_a_local_name_as_a_method_call(tmp_path):
+    """A method named like a local variable, never read as an attribute,
+    is uncalled."""
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n    def size(self):\n        return 1\n\n\n"
+        "def count(items):\n    size = len(items)\n    return size, Box\n")
+    assert uncalled(tmp_path) == {"mod.Box.size", "mod.count"}
 
 
 def test_guard_matches_module_level_names_by_module(tmp_path):
